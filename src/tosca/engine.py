@@ -537,6 +537,8 @@ def load_bank(path, config: LucaConfig | None = None) -> ModuleBank:
         raise ValueError("unsupported version")
     if d < 1:
         raise ValueError("not a bank file")
+    if r < 1 and count > 0:
+        raise ValueError("rank r=0 in a bank with entries")
     bank = ModuleBank(d)
     for _ in range(count):
         start = off
@@ -571,4 +573,6 @@ def load_bank(path, config: LucaConfig | None = None) -> ModuleBank:
         head = SessionHead(class_ids=class_ids, w=mats[4])
         bank.append(BankEntry(session_index=session_index, module=module,
                               head=head))
+    if off != len(blob):
+        raise ValueError(f"trailing bytes after the last entry: {len(blob) - off}")
     return bank

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import vecmat
-
 
 @dataclass
 class SessionHead:
@@ -52,11 +50,11 @@ def make_head(d: int, class_ids, dtype=np.float32) -> SessionHead:
 
 
 def head_forward(z, head: SessionHead) -> np.ndarray:
-    """Logits for one sample, exact left-to-right accumulation."""
+    """Logits for one sample, z @ W in float64."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (head.d,):
         raise ValueError("dimension mismatch")
-    return vecmat(z, head.w)
+    return z @ head.w.astype(np.float64)
 
 
 def head_forward_batch(Z: np.ndarray, head: SessionHead) -> np.ndarray:
@@ -125,27 +123,14 @@ def build_prototypes(features: np.ndarray, labels: np.ndarray,
 
 
 def prototype_classify(z, bank: PrototypeBank) -> int:
-    """Cosine-similarity argmax over class means; ties keep the lowest id."""
+    """Cosine-similarity argmax over class means; ties keep the lowest id.
+
+    A one-row call into ``prototype_classify_batch``.
+    """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (bank.d,):
         raise ValueError("dimension mismatch")
-    if not bank.means:
-        raise ValueError("no samples")
-    zn = float(np.linalg.norm(z))
-    if zn == 0.0:
-        raise ValueError("degenerate vector")
-    best_id = None
-    best = -np.inf
-    for c in sorted(bank.means):
-        mu = bank.means[c]
-        mn = float(np.linalg.norm(mu))
-        if mn == 0.0:
-            raise ValueError("degenerate vector")
-        score = float(np.dot(z, mu)) / (zn * mn)
-        if score > best:
-            best = score
-            best_id = c
-    return best_id
+    return int(prototype_classify_batch(z[None, :], bank)[0])
 
 
 def prototype_classify_batch(Z: np.ndarray, bank: PrototypeBank) -> np.ndarray:

@@ -109,27 +109,30 @@ def _check_input(z, m: LucaModule) -> np.ndarray:
 
 
 def adapter_forward(z, m: LucaModule) -> np.ndarray:
-    """act_a(z W_down) W_up + z."""
+    """act_a(z W_down) W_up + z; one row through the batched formula."""
     z = _check_input(z, m)
-    s = activation(m.config.adapter_act, vecmat(z, m.w_down))
-    return vecmat(s, m.w_up) + z
+    out, _, _ = _adapter_rows(z[None, :], m.w_down.astype(np.float64),
+                              m.w_up.astype(np.float64), m.config)
+    return out[0]
 
 
 def calibrator_forward(z, m: LucaModule) -> np.ndarray:
-    """z * gate, gate = act_g(z V_down) V_up (+ 1 when gate_residual)."""
+    """z * gate, gate = act_g(z V_down) V_up (+ 1 when gate_residual); one
+    row through the batched formula."""
     z = _check_input(z, m)
-    t = activation(m.config.gate_act, vecmat(z, m.v_down))
-    gate = vecmat(t, m.v_up)
-    if m.config.gate_residual:
-        gate = gate + 1.0
-    return z * gate
+    out, _, _, _ = _calibrator_rows(z[None, :], m.v_down.astype(np.float64),
+                                    m.v_up.astype(np.float64), m.config)
+    return out[0]
 
 
 def luca_forward(z, m: LucaModule) -> np.ndarray:
-    """Full module: calibrator(adapter(z)), or adapter(calibrator(z)) if reversed."""
-    if m.config.reversed:
-        return adapter_forward(calibrator_forward(z, m), m)
-    return calibrator_forward(adapter_forward(z, m), m)
+    """Full module: calibrator(adapter(z)), or adapter(calibrator(z)) if reversed.
+
+    One row through ``luca_forward_batch``, so a sample gives the same
+    result whether it is scored alone or as a one-row batch.
+    """
+    z = _check_input(z, m)
+    return luca_forward_batch(z[None, :], m)[0]
 
 
 def _adapter_backward(z, m, upstream):
@@ -180,8 +183,26 @@ def luca_backward(z, m: LucaModule, upstream) -> LucaGradients:
 
 
 # ---------------------------------------------------------------------------
-# Batched fast path (numpy matmul).  Rows of Z are samples; gradients are
-# summed over the batch, so pre-scaled upstreams give batch means directly.
+# Batched path (numpy matmul), which the one-row forwards above also run.
+# Rows of Z are samples; gradients are summed over the batch, so pre-scaled
+# upstreams give batch means directly.
+
+def _adapter_rows(Z, wd, wu, cfg: LucaConfig):
+    # (out, H, S) for out = act_a(Z W_down) W_up + Z
+    H = Z @ wd
+    S = activation(cfg.adapter_act, H)
+    return S @ wu + Z, H, S
+
+
+def _calibrator_rows(Z, vd, vu, cfg: LucaConfig):
+    # (out, Q, T, G) for out = Z * G, G = act_g(Z V_down) V_up (+ 1)
+    Q = Z @ vd
+    T = activation(cfg.gate_act, Q)
+    G = T @ vu
+    if cfg.gate_residual:
+        G = G + 1.0
+    return Z * G, Q, T, G
+
 
 def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False):
     Z = np.asarray(Z, dtype=np.float64)
@@ -191,26 +212,12 @@ def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False)
     vu = m.v_up.astype(np.float64)
     cfg = m.config
     if cfg.reversed:
-        Q = Z @ vd
-        T = activation(cfg.gate_act, Q)
-        G = T @ vu
-        if cfg.gate_residual:
-            G = G + 1.0
-        C = Z * G
-        H = C @ wd
-        S = activation(cfg.adapter_act, H)
-        out = S @ wu + C
+        C, Q, T, G = _calibrator_rows(Z, vd, vu, cfg)
+        out, H, S = _adapter_rows(C, wd, wu, cfg)
         cache = (Z, Q, T, G, C, H, S)
     else:
-        H = Z @ wd
-        S = activation(cfg.adapter_act, H)
-        A = S @ wu + Z
-        Q = A @ vd
-        T = activation(cfg.gate_act, Q)
-        G = T @ vu
-        if cfg.gate_residual:
-            G = G + 1.0
-        out = A * G
+        A, H, S = _adapter_rows(Z, wd, wu, cfg)
+        out, Q, T, G = _calibrator_rows(A, vd, vu, cfg)
         cache = (Z, H, S, A, Q, T, G)
     if return_cache:
         return out, cache

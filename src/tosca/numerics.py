@@ -2,9 +2,10 @@
 
 Parameters and features live in float32; every reduction here accumulates in
 float64.  ``dot``/``vecmat``/``matvec`` fix the exact accumulation order
-(ascending index) so single-sample results reproduce bit for bit; batched
-training paths use numpy matmul instead and are checked against these within
-tolerance.
+(ascending index).  The per-sample backward pass ``luca.luca_backward`` is
+built on ``vecmat`` and ``matvec``; it is the independent reference that
+``gradient_check`` and the tests hold the batched numpy path to.  Every
+forward pass, single-row or batched, uses numpy matmul.
 """
 
 from __future__ import annotations

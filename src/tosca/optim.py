@@ -109,8 +109,9 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
     minibatches (last partial batch included), and anneals the LR per
     optimizer step across the whole run.  The logged loss is mean
     cross-entropy over the epoch's samples plus lambda * l1_norm(module)
-    measured at epoch end.  With epochs=0 nothing moves and the trace is
-    empty.  Returns the (mutated) module and head plus the trace.
+    measured at epoch end; a non-finite loss stops training in that epoch
+    with ``FloatingPointError``.  With epochs=0 nothing moves and the trace
+    is empty.  Returns the (mutated) module and head plus the trace.
     """
     Z = np.asarray(data.features, dtype=np.float64)
     y = np.asarray(data.labels)
@@ -135,7 +136,7 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
 
     step = 0
     trace = []
-    for _epoch in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_ce = 0.0
         for b in range(batches):
@@ -158,7 +159,10 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
             new_w = head.w.astype(np.float64) - lr * g
             head.w[...] = new_w.astype(head.w.dtype)
             step += 1
-        trace.append(epoch_ce / n + cfg.lambda_l1 * l1_norm(module))
+        loss = epoch_ce / n + cfg.lambda_l1 * l1_norm(module)
+        if not math.isfinite(loss):
+            raise FloatingPointError(f"training diverged in epoch {epoch}")
+        trace.append(loss)
     for name in mats:
         if not np.all(np.isfinite(getattr(module, name))):
             raise FloatingPointError("training diverged")

@@ -571,6 +571,33 @@ def test_bank_load_error_paths(tmp_path):
         load_bank(bad_sum)
 
 
+def test_bank_load_rejects_trailing_bytes(tmp_path):
+    full = ModuleBank(3)
+    full.append(_entry(1, 3, (4, 9)))
+    for bank in (ModuleBank(3), full):
+        p = tmp_path / "b.luca"
+        save_bank(bank, p)
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(ValueError,
+                           match="trailing bytes after the last entry: 1"):
+            load_bank(p)
+
+
+def test_bank_load_rejects_zero_rank(tmp_path):
+    # a rank-0 module is an identity map, so such a bank would still route
+    d = 3
+    empty = np.zeros((d, 0), dtype=np.float32)
+    module = LucaModule(d=d, r=0, w_down=empty, w_up=empty.T.copy(),
+                        v_down=empty, v_up=empty.T.copy())
+    bank = ModuleBank(d)
+    bank.append(BankEntry(1, module, make_head(d, (0, 1))))
+    p = tmp_path / "r0.luca"
+    save_bank(bank, p)
+    assert struct.unpack_from("<IIII", p.read_bytes(), 8) == (1, d, 0, 1)
+    with pytest.raises(ValueError, match="rank r=0 in a bank with entries"):
+        load_bank(p)
+
+
 def test_load_bank_applies_given_config(tmp_path):
     train, test, splits = _small_scenario()
     cfg = replace(_FAST, reversed=True)

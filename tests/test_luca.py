@@ -16,6 +16,7 @@ from tosca.luca import (LucaConfig, LucaModule, adapter_forward,
                         l1_norm, layerwise_adapter_count, luca_backward,
                         luca_backward_batch, luca_forward, luca_forward_batch,
                         param_count, sparsity_ratio)
+from tosca.numerics import ACTIVATIONS
 from tosca.rng import Xoshiro256StarStar
 
 
@@ -160,8 +161,17 @@ def test_l1_norm_and_sparsity():
 _SLOTS = ("w_down", "w_up", "v_down", "v_up")
 
 
+def _objective(Z, m, U):
+    # sum_i <U_i, L(Z_i)> over one row or a batch of rows
+    return float(np.sum(U * luca_forward_batch(np.atleast_2d(Z), m)))
+
+
 def _fd_grads(z, m, upstream, h=1e-5):
-    """Central differences on copies of the module, one entry at a time."""
+    """Central differences on copies of the module, one entry at a time.
+
+    ``z`` and ``upstream`` are one row or a batch of rows; parameter
+    gradients are summed over the rows, as ``luca_backward_batch`` does.
+    """
     grads = {}
     for slot in _SLOTS:
         base = getattr(m, slot)
@@ -173,19 +183,38 @@ def _fd_grads(z, m, upstream, h=1e-5):
             bumped = {s: getattr(m, s).copy() for s in _SLOTS}
             bumped[slot].flat[flat] -= h
             minus = LucaModule(d=m.d, r=m.r, config=m.config, **bumped)
-            g.flat[flat] = (np.dot(upstream, luca_forward(z, plus))
-                            - np.dot(upstream, luca_forward(z, minus))) / (2 * h)
+            g.flat[flat] = (_objective(z, plus, upstream)
+                            - _objective(z, minus, upstream)) / (2 * h)
         grads[slot] = g
-    dz = np.zeros_like(np.asarray(z, dtype=np.float64))
-    for i in range(len(z)):
-        zp = np.array(z, dtype=np.float64)
-        zm = np.array(z, dtype=np.float64)
-        zp[i] += h
-        zm[i] -= h
-        dz[i] = (np.dot(upstream, luca_forward(zp, m))
-                 - np.dot(upstream, luca_forward(zm, m))) / (2 * h)
+    z = np.asarray(z, dtype=np.float64)
+    dz = np.zeros_like(z)
+    for i in range(z.size):
+        zp = z.copy()
+        zm = z.copy()
+        zp.flat[i] += h
+        zm.flat[i] -= h
+        dz.flat[i] = (_objective(zp, m, upstream)
+                      - _objective(zm, m, upstream)) / (2 * h)
     grads["d_input"] = dz
     return grads
+
+
+def _assert_grads_match(analytic, numeric):
+    for slot in _SLOTS + ("d_input",):
+        a = getattr(analytic, slot)
+        n = numeric[slot]
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
+        assert (np.abs(a - n) / denom).max() < 1e-4, slot
+
+
+def _random_module(gen, d, r, cfg):
+    return LucaModule(
+        d=d, r=r, config=cfg,
+        w_down=gen.normals(d * r, std=0.4).reshape(d, r),
+        w_up=gen.normals(r * d, std=0.4).reshape(r, d),
+        v_down=gen.normals(d * r, std=0.4).reshape(d, r),
+        v_up=gen.normals(r * d, std=0.4).reshape(r, d),
+    )
 
 
 @pytest.mark.parametrize("adapter_act,gate_act,residual,rev", [
@@ -200,26 +229,38 @@ def test_backward_matches_finite_differences(adapter_act, gate_act, residual, re
                      gate_residual=residual, reversed=rev)
     gen = Xoshiro256StarStar(101)
     d, r = 7, 3
-    m = LucaModule(
-        d=d, r=r, config=cfg,
-        w_down=gen.normals(d * r, std=0.4).reshape(d, r),
-        w_up=gen.normals(r * d, std=0.4).reshape(r, d),
-        v_down=gen.normals(d * r, std=0.4).reshape(d, r),
-        v_up=gen.normals(r * d, std=0.4).reshape(r, d),
-    )
+    m = _random_module(gen, d, r, cfg)
     z = gen.normals(d)
     if adapter_act == "relu":
         # nudge the input until every relu pre-activation is off the kink
         while np.abs(z @ m.w_down).min() < 1e-3:
             z = gen.normals(d)
     upstream = gen.normals(d)
-    ana = luca_backward(z, m, upstream)
-    num = _fd_grads(z, m, upstream)
-    for slot in _SLOTS + ("d_input",):
-        a = getattr(ana, slot)
-        n = num[slot]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
-        assert (np.abs(a - n) / denom).max() < 1e-4, slot
+    _assert_grads_match(luca_backward(z, m, upstream),
+                        _fd_grads(z, m, upstream))
+
+
+@pytest.mark.parametrize("rev", [False, True])
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("gate_act", ACTIVATIONS)
+@pytest.mark.parametrize("adapter_act", ACTIVATIONS)
+def test_batch_backward_matches_finite_differences(adapter_act, gate_act,
+                                                   residual, rev):
+    # the backward pass training runs, checked directly on a multi-row batch
+    cfg = LucaConfig(adapter_act=adapter_act, gate_act=gate_act,
+                     gate_residual=residual, reversed=rev)
+    gen = Xoshiro256StarStar(211)
+    B, d, r = 4, 6, 3
+    m = _random_module(gen, d, r, cfg)
+    while True:
+        Z = gen.normals(B * d).reshape(B, d)
+        _, cache = luca_forward_batch(Z, m, return_cache=True)
+        # adapter and gate pre-activations, H and Q, must sit off relu kinks
+        H, Q = (cache[5], cache[1]) if rev else (cache[1], cache[4])
+        if min(np.abs(H).min(), np.abs(Q).min()) >= 1e-3:
+            break
+    U = gen.normals(B * d).reshape(B, d)
+    _assert_grads_match(luca_backward_batch(m, cache, U), _fd_grads(Z, m, U))
 
 
 def test_upstream_zero_gives_zero_grads():

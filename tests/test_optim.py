@@ -251,3 +251,28 @@ def test_divergence_is_reported():
     with pytest.raises(FloatingPointError, match="training diverged"):
         with np.errstate(all="ignore"):
             train_epochs(module, head, train, cfg, Xoshiro256StarStar(1))
+
+
+class _CountingRng(Xoshiro256StarStar):
+    """Counts epoch shuffles, one per epoch started."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.shuffles = 0
+
+    def permutation(self, n):
+        self.shuffles += 1
+        return super().permutation(n)
+
+
+def test_divergence_stops_in_the_epoch_it_happens():
+    train, module, head = _toy_problem()
+    train = FeatureDataset(name="big", features=train.features * 1e18,
+                           labels=train.labels)
+    cfg = OptimConfig(lr_max=1e6, epochs=5, lambda_l1=0.0)
+    rng = _CountingRng(1)
+    with pytest.raises(FloatingPointError,
+                       match=r"^training diverged in epoch 1$"):
+        with np.errstate(all="ignore"):
+            train_epochs(module, head, train, cfg, rng)
+    assert rng.shuffles == 1
