@@ -198,6 +198,8 @@ def load_features(path, name: str | None = None) -> FeatureDataset:
     if len(blob) - off < need:
         raise ValueError("unexpected end of file")
     packed = np.frombuffer(blob, dtype=record, count=n, offset=off)
+    if not np.all(np.isfinite(packed["feat"])):
+        raise ValueError("non-finite feature values")
     if name is None:
         name = str(path)
     return FeatureDataset(name=name, features=packed["feat"].copy(),

@@ -3,10 +3,11 @@ module-bank container format.
 
 A scenario walks the stages of a split plan.  The main method trains one
 frozen-after-training module + head per stage and routes each test sample to
-the session whose softmax output has least Shannon entropy.  Baselines share
-the harness: sequential finetuning of a single module with a growing head,
-joint training on all classes at once, and a prototype classifier with no
-training at all.
+the session whose softmax output has least Shannon entropy.  One kernel,
+``route``, makes that choice for ``predict``, ``predict_batch`` and
+``evaluate_stage``.  Baselines share the harness: sequential finetuning of a
+single module with a growing head, joint training on all classes at once, and
+a prototype classifier with no training at all.
 
 Bank file layout (all little endian):
 
@@ -28,12 +29,11 @@ from time import perf_counter
 import numpy as np
 
 from .data import FeatureDataset, SplitPlan
-from .heads import (PrototypeBank, SessionHead, build_prototypes, extend_head,
-                    head_forward, head_forward_batch, make_head,
-                    prototype_classify_batch)
+# head_forward, luca_forward: unused here, but the benchmark tracer wraps them
+from .heads import (SessionHead, build_prototypes, extend_head, head_forward,
+                    head_forward_batch, make_head, prototype_classify_batch)
 from .luca import (LucaConfig, LucaModule, init_luca, luca_forward,
                    luca_forward_batch, param_count)
-from .numerics import shannon_entropy, softmax
 from .optim import OptimConfig, train_epochs
 from .rng import Xoshiro256StarStar, derive_seeds
 
@@ -182,77 +182,80 @@ class Prediction:
     distributions: tuple  # softmax vectors, one per session
 
 
-def _entropy_scores(entropies, counts, normalize: bool):
-    """Raw entropies, or entropy / ln K when session class counts differ."""
-    if not normalize or len(set(counts)) <= 1:
-        return list(entropies)
-    scores = []
-    for h, k in zip(entropies, counts):
-        scores.append(0.0 if k == 1 else h / np.log(k))
-    return scores
+@dataclass
+class Routing:
+    """What ``route`` computed for n rows over a bank of S sessions."""
+    probs: list  # per session, (n, K) softmax rows
+    entropies: np.ndarray  # (S, n) raw nats
+    sessions: np.ndarray  # (n,) chosen 1-based session index
+    classes: np.ndarray  # (n,) argmax class id within the chosen session
 
 
-def predict(x, bank: ModuleBank, normalize_entropy: bool = True) -> Prediction:
-    """Route one sample to the least-entropy session, then argmax there.
+def route(Z, bank: ModuleBank, normalize_entropy: bool = True) -> Routing:
+    """Score every row under every session and pick the least-entropy one.
 
+    When ``normalize_entropy`` is set and the sessions' class counts differ,
+    a session scores entropy / ln K (0 when K = 1) instead of raw entropy.
     Ties go to the lowest session index, and within a session to the lowest
-    class id.  Entropies in the result stay unnormalized.
+    class id.
     """
-    if not bank.entries:
-        raise ValueError("empty bank")
-    z = np.asarray(x, dtype=np.float64)
-    if z.shape != (bank.feature_dim,):
-        raise ValueError("dimension mismatch")
-    entropies = []
-    dists = []
-    for e in bank.entries:
-        feats = luca_forward(z, e.module)
-        p = softmax(head_forward(feats, e.head))
-        entropies.append(shannon_entropy(p))
-        dists.append(p)
-    counts = [len(e.class_ids) for e in bank.entries]
-    scores = _entropy_scores(entropies, counts, normalize_entropy)
-    best = 0
-    for i in range(1, len(scores)):
-        if scores[i] < scores[best]:
-            best = i
-    dist = dists[best]
-    cls = bank.entries[best].class_ids[int(np.argmax(dist))]
-    return Prediction(class_id=int(cls), session_index=best + 1,
-                      entropies=tuple(float(h) for h in entropies),
-                      distributions=tuple(dists))
-
-
-def predict_batch(Z: np.ndarray, bank: ModuleBank,
-                  normalize_entropy: bool = True):
-    """Vectorized routing; returns (class ids, session indices) per row."""
     if not bank.entries:
         raise ValueError("empty bank")
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != bank.feature_dim:
         raise ValueError("dimension mismatch")
     n = Z.shape[0]
-    counts = [len(e.class_ids) for e in bank.entries]
-    normalize = normalize_entropy and len(set(counts)) > 1
-    scores = np.empty((len(bank), n), dtype=np.float64)
+    probs = []
+    entropies = np.empty((len(bank), n), dtype=np.float64)
     picks = np.empty((len(bank), n), dtype=np.int64)
     for i, e in enumerate(bank.entries):
+        # feats stays bound through the next forward: freed earlier, glibc
+        # trimmed and regrew the heap per session (4x the page faults at d=768)
         feats = luca_forward_batch(Z, e.module)
-        logits = feats @ e.head.w.astype(np.float64)
+        logits = head_forward_batch(feats, e.head)
+        if not np.isfinite(logits).all():
+            raise ValueError("non-finite logits")
         logits -= logits.max(axis=1, keepdims=True)
         P = np.exp(logits)
         P /= P.sum(axis=1, keepdims=True)
         logP = np.log(np.where(P > 0.0, P, 1.0))
-        H = -(P * logP).sum(axis=1)
+        entropies[i] = -(P * logP).sum(axis=1)
         ids = np.asarray(e.class_ids, dtype=np.int64)
         picks[i] = ids[np.argmax(P, axis=1)]
-        if normalize:
-            scores[i] = 0.0 if counts[i] == 1 else H / np.log(counts[i])
-        else:
-            scores[i] = H
+        probs.append(P)
+    entropies += 0.0  # a one-hot row sums to -0.0; report it as 0.0
+    counts = [len(e.class_ids) for e in bank.entries]
+    scores = entropies
+    if normalize_entropy and len(set(counts)) > 1:
+        scores = np.zeros_like(entropies)
+        for i, k in enumerate(counts):
+            if k > 1:
+                scores[i] = entropies[i] / np.log(k)
     chosen = np.argmin(scores, axis=0)  # first min = lowest session
-    classes = picks[chosen, np.arange(n)]
-    return classes, chosen + 1
+    return Routing(probs=probs, entropies=entropies, sessions=chosen + 1,
+                   classes=picks[chosen, np.arange(n)])
+
+
+def predict(x, bank: ModuleBank, normalize_entropy: bool = True) -> Prediction:
+    """Route one sample: ``route`` on a one-row batch.
+
+    Entropies in the result stay unnormalized.
+    """
+    z = np.asarray(x, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError("dimension mismatch")
+    r = route(z[None, :], bank, normalize_entropy)
+    return Prediction(class_id=int(r.classes[0]),
+                      session_index=int(r.sessions[0]),
+                      entropies=tuple(float(h) for h in r.entropies[:, 0]),
+                      distributions=tuple(P[0] for P in r.probs))
+
+
+def predict_batch(Z: np.ndarray, bank: ModuleBank,
+                  normalize_entropy: bool = True):
+    """Vectorized routing; returns (class ids, session indices) per row."""
+    r = route(Z, bank, normalize_entropy)
+    return r.classes, r.sessions
 
 
 @dataclass
@@ -261,49 +264,49 @@ class StageEval:
     selection_accuracy: float
 
 
-def _selection_rate(pred_classes, labels, class_groups) -> float:
-    """Share of samples whose prediction lands in the true label's session."""
-    hits = 0
-    for p, t in zip(pred_classes, labels):
-        hits += int(int(p) in class_groups[int(t)])
-    return 100.0 * hits / len(labels)
+def _score_stage(classify, test: FeatureDataset, stage_lists) -> StageEval:
+    """Accuracy of ``classify(features)`` on the test rows, and selection:
+    the share of rows whose predicted class lies in the true label's stage.
+    Class ids are u32: stages are found by binary search, not an id table.
+    """
+    if test.n == 0:
+        raise ValueError("empty test set")
+    preds = classify(test.features)
+    labels = test.labels.astype(np.int64)
+    acc = 100.0 * float(np.mean(preds == labels))
+    ids = np.concatenate([np.asarray(s, dtype=np.int64) for s in stage_lists])
+    stage = np.repeat(np.arange(len(stage_lists)),
+                      [len(s) for s in stage_lists])
+    order = np.argsort(ids)
+    ids, stage = ids[order], stage[order]
 
+    def stage_of(c):
+        pos = np.minimum(np.searchsorted(ids, c), len(ids) - 1)
+        return np.where(ids[pos] == c, stage[pos], -1)
 
-def _group_by_stage(stage_lists) -> dict:
-    groups = {}
-    for classes in stage_lists:
-        s = frozenset(int(c) for c in classes)
-        for c in s:
-            groups[c] = s
-    return groups
+    true_stage = stage_of(labels)
+    if np.any(true_stage < 0):
+        raise ValueError("test label outside every stage")
+    hits = int(np.count_nonzero(stage_of(preds) == true_stage))
+    return StageEval(accuracy=acc, selection_accuracy=100.0 * hits / test.n)
 
 
 def evaluate_stage(bank: ModuleBank, test: FeatureDataset,
                    normalize_entropy: bool = True) -> StageEval:
-    if test.n == 0:
-        raise ValueError("empty test set")
-    classes, _sessions = predict_batch(test.features, bank, normalize_entropy)
-    labels = test.labels.astype(np.int64)
-    acc = 100.0 * float(np.mean(classes == labels))
-    groups = _group_by_stage([e.class_ids for e in bank.entries])
-    sel = _selection_rate(classes, labels, groups)
-    return StageEval(accuracy=acc, selection_accuracy=sel)
+    return _score_stage(
+        lambda Z: predict_batch(Z, bank, normalize_entropy)[0], test,
+        [e.class_ids for e in bank.entries])
 
 
-def _eval_single(module, head, test: FeatureDataset, class_groups) -> StageEval:
+def _eval_single(module, head, test: FeatureDataset, stage_lists) -> StageEval:
     """Stage metrics for the single-model baselines (one shared head)."""
-    if test.n == 0:
-        raise ValueError("empty test set")
-    Z = test.features.astype(np.float64)
-    if module is not None:
-        Z = luca_forward_batch(Z, module)
-    logits = head_forward_batch(Z, head)
     ids = np.asarray(head.class_ids, dtype=np.int64)
-    preds = ids[np.argmax(logits, axis=1)]
-    labels = test.labels.astype(np.int64)
-    acc = 100.0 * float(np.mean(preds == labels))
-    sel = _selection_rate(preds, labels, class_groups)
-    return StageEval(accuracy=acc, selection_accuracy=sel)
+
+    def classify(Z):
+        logits = head_forward_batch(luca_forward_batch(Z, module), head)
+        return ids[np.argmax(logits, axis=1)]
+
+    return _score_stage(classify, test, stage_lists)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +361,6 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     d = train.d
     seeds = derive_seeds(seed, B + 1)
     stage_seeds, shared_init = seeds[:B], seeds[B]
-    class_groups = _group_by_stage(splits.stages)
     stages = []
     params = []
     artifacts: dict = {}
@@ -394,7 +396,7 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
                          Xoshiro256StarStar(shuffle_seed))
             ev = _eval_single(module, head,
                               test.subset(splits.classes_through(b)),
-                              class_groups)
+                              splits.stages)
             stages.append({"index": b, "A_b": ev.accuracy,
                            "selection_accuracy": ev.selection_accuracy})
         artifacts["module"] = module
@@ -412,7 +414,7 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
         for b in range(1, B + 1):
             ev = _eval_single(module, head,
                               test.subset(splits.classes_through(b)),
-                              class_groups)
+                              splits.stages)
             stages.append({"index": b, "A_b": ev.accuracy,
                            "selection_accuracy": ev.selection_accuracy})
             params.append(param_count(d, cfg.r) + d * len(all_ids) if b == 1 else 0)
@@ -425,15 +427,11 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
             if ds.n == 0:
                 raise ValueError("empty session data")
             proto = build_prototypes(ds.features, ds.labels, proto)
-            sub = test.subset(splits.classes_through(b))
-            if sub.n == 0:
-                raise ValueError("empty test set")
-            preds = prototype_classify_batch(sub.features, proto)
-            labels = sub.labels.astype(np.int64)
-            acc = 100.0 * float(np.mean(preds == labels))
-            sel = _selection_rate(preds, labels, class_groups)
-            stages.append({"index": b, "A_b": acc,
-                           "selection_accuracy": sel})
+            ev = _score_stage(lambda Z: prototype_classify_batch(Z, proto),
+                              test.subset(splits.classes_through(b)),
+                              splits.stages)
+            stages.append({"index": b, "A_b": ev.accuracy,
+                           "selection_accuracy": ev.selection_accuracy})
             params.append(d * len(classes))
         artifacts["prototypes"] = proto
 

@@ -28,6 +28,8 @@ class SessionHead:
             raise ValueError("class ids must be ascending")
         if self.w.shape != (self.w.shape[0], len(self.class_ids)):
             raise ValueError("head weight shape mismatch")
+        if not np.all(np.isfinite(self.w)):
+            raise ValueError("head weights contain non-finite entries")
 
     @property
     def d(self) -> int:

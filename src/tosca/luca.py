@@ -47,6 +47,8 @@ class LucaModule:
     config: LucaConfig = field(default_factory=LucaConfig)
 
     def __post_init__(self):
+        if self.d < 1 or self.r < 1:
+            raise ValueError("dimensions must be positive")
         expect = {
             "w_down": (self.d, self.r),
             "w_up": (self.r, self.d),

@@ -214,3 +214,14 @@ def test_corrupt_feature_files(tmp_path):
     bad_version.write_bytes(bytes(vers))
     with pytest.raises(ValueError, match="unsupported version"):
         load_features(bad_version)
+
+
+def test_feature_file_rejects_non_finite_values(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        features = np.ones((3, 2), dtype=np.float32)
+        features[1, 0] = bad
+        p = tmp_path / "bad.ftr"
+        save_features(FeatureDataset(name="x", features=features,
+                                     labels=np.arange(3, dtype=np.uint32)), p)
+        with pytest.raises(ValueError, match="non-finite feature values"):
+            load_features(p)

@@ -12,7 +12,7 @@ from tosca.data import make_splits, synth_gaussian
 from tosca.engine import (BANK_MAGIC, BankEntry, ModuleBank, ScenarioConfig,
                           entry_checksum, evaluate_stage, feature_shift,
                           fnv1a, load_bank, module_orthogonality, predict,
-                          predict_batch, run_scenario, save_bank,
+                          predict_batch, route, run_scenario, save_bank,
                           train_session)
 from tosca.heads import SessionHead, make_head
 from tosca.luca import LucaConfig, LucaModule, init_luca, param_count
@@ -221,16 +221,19 @@ def test_predict_calls_each_module_once_per_sample(monkeypatch):
     for b in range(3):
         bank.append(_entry(b + 1, d, (2 * b, 2 * b + 1)))
     seen = []
-    real = engine.luca_forward
+    real = engine.luca_forward_batch
 
-    def spy(z, module):
-        seen.append(id(z))
-        return real(z, module)
+    def spy(Z, module):
+        seen.append((id(Z), Z.shape, module))
+        return real(Z, module)
 
-    monkeypatch.setattr(engine, "luca_forward", spy)
+    monkeypatch.setattr(engine, "luca_forward_batch", spy)
     predict(np.ones(d), bank)
-    assert len(seen) == 3  # one pass per banked module
-    assert len(set(seen)) == 1  # the same already-cast sample each time
+    # one pass per banked module, in bank order
+    assert [m for _, _, m in seen] == [e.module for e in bank.entries]
+    # the same already-cast one-row array each time
+    assert len({i for i, _, _ in seen}) == 1
+    assert all(shape == (1, d) for _, shape, _ in seen)
 
 
 def test_batch_predict_matches_single_on_trained_bank():
@@ -240,10 +243,21 @@ def test_batch_predict_matches_single_on_trained_bank():
     bank = report.artifacts["bank"]
     Z = test.features[:60]
     classes, sessions = predict_batch(Z, bank)
+    batch = route(Z, bank)
     for i in range(Z.shape[0]):
         p = predict(Z[i], bank)
         assert classes[i] == p.class_id
         assert sessions[i] == p.session_index
+        # predict is route's row 0 on a one-row batch, bit for bit
+        one = route(Z[i:i + 1], bank)
+        assert p.entropies == tuple(one.entropies[:, 0])
+        for dist, P in zip(p.distributions, one.probs):
+            assert np.array_equal(dist, P[0])
+        # inside a larger batch BLAS may sum in another order: last bits only
+        np.testing.assert_allclose(p.entropies, batch.entropies[:, i],
+                                   rtol=0, atol=1e-12)
+        for dist, P in zip(p.distributions, batch.probs):
+            np.testing.assert_allclose(dist, P[i], rtol=0, atol=1e-12)
 
 
 def test_appending_a_duplicate_module_changes_nothing():
@@ -339,6 +353,36 @@ def test_evaluate_stage_rejects_empty_test():
                            labels=np.zeros(0, dtype=np.uint32))
     with pytest.raises(ValueError, match="empty test set"):
         evaluate_stage(bank, empty)
+
+
+def test_non_finite_rows_fail_on_every_routing_entry_point():
+    from tosca.data import FeatureDataset
+    d = 4
+    bank = ModuleBank(d)
+    bank.append(_entry(1, d, (0, 1), w=np.eye(d, 2, dtype=np.float32)))
+    bank.append(_entry(2, d, (2, 3)))
+    for bad in (np.nan, np.inf):
+        Z = np.eye(d, dtype=np.float32)
+        Z[2, 1] = bad
+        test = FeatureDataset(name="bad", features=Z,
+                              labels=np.array([0, 1, 2, 3], dtype=np.uint32))
+        with np.errstate(invalid="ignore"):  # inf * 0 inside the forward
+            with pytest.raises(ValueError, match="non-finite logits"):
+                predict(Z[2], bank)
+            with pytest.raises(ValueError, match="non-finite logits"):
+                predict_batch(Z, bank)
+            with pytest.raises(ValueError, match="non-finite logits"):
+                evaluate_stage(bank, test)
+
+
+def test_evaluate_stage_rejects_labels_outside_the_bank():
+    from tosca.data import FeatureDataset
+    bank = ModuleBank(4)
+    bank.append(_entry(1, 4, (0, 1)))
+    test = FeatureDataset(name="t", features=np.eye(4, dtype=np.float32)[:2],
+                          labels=np.array([1, 4_000_000_000], dtype=np.uint32))
+    with pytest.raises(ValueError, match="test label outside every stage"):
+        evaluate_stage(bank, test)
 
 
 # --- scenario driver ---------------------------------------------------------
@@ -584,17 +628,26 @@ def test_bank_load_rejects_trailing_bytes(tmp_path):
 
 
 def test_bank_load_rejects_zero_rank(tmp_path):
-    # a rank-0 module is an identity map, so such a bank would still route
-    d = 3
-    empty = np.zeros((d, 0), dtype=np.float32)
-    module = LucaModule(d=d, r=0, w_down=empty, w_up=empty.T.copy(),
-                        v_down=empty, v_up=empty.T.copy())
-    bank = ModuleBank(d)
-    bank.append(BankEntry(1, module, make_head(d, (0, 1))))
+    # a rank-0 module would be an identity map, so such a bank would still
+    # route; LucaModule refuses r=0, so the file is packed by hand
+    d, ids = 3, (0, 1)
+    entry = (struct.pack("<II", 1, len(ids)) + struct.pack("<2I", *ids)
+             + np.zeros((d, len(ids)), dtype="<f4").tobytes())
     p = tmp_path / "r0.luca"
-    save_bank(bank, p)
+    p.write_bytes(BANK_MAGIC + struct.pack("<IIII", 1, d, 0, 1) + entry
+                  + struct.pack("<Q", fnv1a(entry)))
     assert struct.unpack_from("<IIII", p.read_bytes(), 8) == (1, d, 0, 1)
     with pytest.raises(ValueError, match="rank r=0 in a bank with entries"):
+        load_bank(p)
+
+
+def test_bank_load_rejects_non_finite_head(tmp_path):
+    bank = ModuleBank(3)
+    bank.append(_entry(1, 3, (4, 9)))
+    bank.entries[0].head.w[1, 0] = np.nan
+    p = tmp_path / "nan.luca"
+    save_bank(bank, p)  # the checksum covers the NaN, so it verifies
+    with pytest.raises(ValueError, match="non-finite"):
         load_bank(p)
 
 

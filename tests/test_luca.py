@@ -110,6 +110,15 @@ def test_input_validation():
                    v_up=np.zeros((1, 2)))
 
 
+def test_module_rejects_empty_dimensions():
+    # a rank-0 module would save into a bank file that load_bank refuses
+    for d, r in ((3, 0), (0, 2), (0, 0)):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            LucaModule(d=d, r=r, w_down=np.zeros((d, r)),
+                       w_up=np.zeros((r, d)), v_down=np.zeros((d, r)),
+                       v_up=np.zeros((r, d)))
+
+
 def test_init_is_deterministic_and_documented():
     a = init_luca(12, 3, rng_seed=99)
     b = init_luca(12, 3, rng_seed=99)
