@@ -18,8 +18,8 @@ from .heads import (PrototypeBank, SessionHead, build_prototypes, extend_head,
                     head_forward, make_head, prototype_classify)
 from .luca import (LucaConfig, LucaGradients, LucaModule, adapter_forward,
                    calibrator_forward, gradient_check, init_luca,
-                   l1_norm, layerwise_adapter_count, luca_backward,
-                   luca_forward, param_count, sparsity_ratio)
+                   l1_norm, layerwise_adapter_count, luca_forward,
+                   param_count, sparsity_ratio)
 from .numerics import activation, activation_grad, shannon_entropy, softmax
 from .optim import (OptimConfig, cosine_lr, sgd_l1_step, soft_threshold,
                     train_epochs)
@@ -39,7 +39,7 @@ __all__ = [
     "head_forward", "make_head", "prototype_classify",
     "LucaConfig", "LucaGradients", "LucaModule", "adapter_forward",
     "calibrator_forward", "gradient_check", "init_luca", "l1_norm",
-    "layerwise_adapter_count", "luca_backward", "luca_forward", "param_count",
+    "layerwise_adapter_count", "luca_forward", "param_count",
     "sparsity_ratio",
     "activation", "activation_grad", "shannon_entropy", "softmax",
     "OptimConfig", "cosine_lr", "sgd_l1_step", "soft_threshold",

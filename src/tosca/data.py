@@ -197,6 +197,9 @@ def load_features(path, name: str | None = None) -> FeatureDataset:
     need = n * record.itemsize
     if len(blob) - off < need:
         raise ValueError("unexpected end of file")
+    if len(blob) - off > need:
+        raise ValueError(
+            f"trailing bytes after the last record: {len(blob) - off - need}")
     packed = np.frombuffer(blob, dtype=record, count=n, offset=off)
     if not np.all(np.isfinite(packed["feat"])):
         raise ValueError("non-finite feature values")

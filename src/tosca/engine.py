@@ -197,13 +197,15 @@ def route(Z, bank: ModuleBank, normalize_entropy: bool = True) -> Routing:
     When ``normalize_entropy`` is set and the sessions' class counts differ,
     a session scores entropy / ln K (0 when K = 1) instead of raw entropy.
     Ties go to the lowest session index, and within a session to the lowest
-    class id.
+    class id.  A NaN or inf input row is refused before any forward pass.
     """
     if not bank.entries:
         raise ValueError("empty bank")
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != bank.feature_dim:
         raise ValueError("dimension mismatch")
+    if not np.isfinite(Z).all():
+        raise ValueError("non-finite features")
     n = Z.shape[0]
     probs = []
     entropies = np.empty((len(bank), n), dtype=np.float64)

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ACTIVATIONS, activation, activation_grad, matvec, vecmat
+# vecmat: unused here, but the benchmark tracer's numerics.vecmat seam wraps it
+from .numerics import ACTIVATIONS, activation, activation_grad, vecmat
 from .rng import Xoshiro256StarStar
 
 INIT_STD = 0.02
@@ -113,8 +114,8 @@ def _check_input(z, m: LucaModule) -> np.ndarray:
 def adapter_forward(z, m: LucaModule) -> np.ndarray:
     """act_a(z W_down) W_up + z; one row through the batched formula."""
     z = _check_input(z, m)
-    out, _, _ = _adapter_rows(z[None, :], m.w_down.astype(np.float64),
-                              m.w_up.astype(np.float64), m.config)
+    out, _ = _adapter_rows(z[None, :], m.w_down.astype(np.float64),
+                           m.w_up.astype(np.float64), m.config)
     return out[0]
 
 
@@ -122,8 +123,8 @@ def calibrator_forward(z, m: LucaModule) -> np.ndarray:
     """z * gate, gate = act_g(z V_down) V_up (+ 1 when gate_residual); one
     row through the batched formula."""
     z = _check_input(z, m)
-    out, _, _, _ = _calibrator_rows(z[None, :], m.v_down.astype(np.float64),
-                                    m.v_up.astype(np.float64), m.config)
+    out, _ = _calibrator_rows(z[None, :], m.v_down.astype(np.float64),
+                              m.v_up.astype(np.float64), m.config)
     return out[0]
 
 
@@ -137,76 +138,54 @@ def luca_forward(z, m: LucaModule) -> np.ndarray:
     return luca_forward_batch(z[None, :], m)[0]
 
 
-def _adapter_backward(z, m, upstream):
-    # returns (dW_down, dW_up, dz) for out = act(z Wd) Wu + z
-    h = vecmat(z, m.w_down)
-    s = activation(m.config.adapter_act, h)
-    d_wup = np.outer(s, upstream)
-    ds = matvec(m.w_up, upstream)
-    dh = ds * activation_grad(m.config.adapter_act, h)
-    d_wdown = np.outer(z, dh)
-    dz = upstream + matvec(m.w_down, dh)
-    return d_wdown, d_wup, dz
-
-
-def _calibrator_backward(z, m, upstream):
-    # returns (dV_down, dV_up, dz) for out = z * gate
-    q = vecmat(z, m.v_down)
-    t = activation(m.config.gate_act, q)
-    gate = vecmat(t, m.v_up)
-    if m.config.gate_residual:
-        gate = gate + 1.0
-    dz_direct = upstream * gate
-    dgate = upstream * z
-    d_vup = np.outer(t, dgate)
-    dt = matvec(m.v_up, dgate)
-    dq = dt * activation_grad(m.config.gate_act, q)
-    d_vdown = np.outer(z, dq)
-    dz = dz_direct + matvec(m.v_down, dq)
-    return d_vdown, d_vup, dz
-
-
-def luca_backward(z, m: LucaModule, upstream) -> LucaGradients:
-    """Gradients of dot(upstream, luca_forward(z)) w.r.t. the four matrices and z."""
-    z = _check_input(z, m)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (m.d,):
-        raise ValueError("dimension mismatch")
-    if m.config.reversed:
-        c = calibrator_forward(z, m)
-        d_wdown, d_wup, dc = _adapter_backward(c, m, upstream)
-        d_vdown, d_vup, dz = _calibrator_backward(z, m, dc)
-    else:
-        a = adapter_forward(z, m)
-        d_vdown, d_vup, da = _calibrator_backward(a, m, upstream)
-        d_wdown, d_wup, dz = _adapter_backward(z, m, da)
-    return LucaGradients(w_down=d_wdown, w_up=d_wup, v_down=d_vdown, v_up=d_vup,
-                         d_input=dz)
-
-
 # ---------------------------------------------------------------------------
 # Batched path (numpy matmul), which the one-row forwards above also run.
 # Rows of Z are samples; gradients are summed over the batch, so pre-scaled
-# upstreams give batch means directly.
+# upstreams give batch means directly.  Each half of the module has one
+# forward and one gradient formula; the composition order only decides which
+# half runs first.
 
-def _adapter_rows(Z, wd, wu, cfg: LucaConfig):
-    # (out, H, S) for out = act_a(Z W_down) W_up + Z
-    H = Z @ wd
+def _adapter_rows(X, wd, wu, cfg: LucaConfig):
+    # (out, (X, H, S)) for out = act_a(X W_down) W_up + X
+    H = X @ wd
     S = activation(cfg.adapter_act, H)
-    return S @ wu + Z, H, S
+    return S @ wu + X, (X, H, S)
 
 
-def _calibrator_rows(Z, vd, vu, cfg: LucaConfig):
-    # (out, Q, T, G) for out = Z * G, G = act_g(Z V_down) V_up (+ 1)
-    Q = Z @ vd
+def _calibrator_rows(X, vd, vu, cfg: LucaConfig):
+    # (out, (X, Q, T, G)) for out = X * G, G = act_g(X V_down) V_up (+ 1)
+    Q = X @ vd
     T = activation(cfg.gate_act, Q)
     G = T @ vu
     if cfg.gate_residual:
         G = G + 1.0
-    return Z * G, Q, T, G
+    return X * G, (X, Q, T, G)
+
+
+def _adapter_grads(cache, wd, wu, cfg: LucaConfig, dOut):
+    # (dW_down, dW_up, dX) given _adapter_rows' cache and upstream dOut
+    X, H, S = cache
+    dH = (dOut @ wu.T) * activation_grad(cfg.adapter_act, H)
+    return X.T @ dH, S.T @ dOut, dOut + dH @ wd.T
+
+
+def _calibrator_grads(cache, vd, vu, cfg: LucaConfig, dOut):
+    # (dV_down, dV_up, dX) given _calibrator_rows' cache and upstream dOut
+    X, Q, T, G = cache
+    dG = dOut * X
+    dQ = (dG @ vu.T) * activation_grad(cfg.gate_act, Q)
+    return X.T @ dQ, T.T @ dG, dOut * G + dQ @ vd.T
 
 
 def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False):
+    """Module output for every row of Z.
+
+    With ``return_cache`` it also returns the pair that
+    ``luca_backward_batch`` takes: the adapter's ``(X, H, S)`` and the
+    calibrator's ``(X, Q, T, G)``, i.e. each half's input rows,
+    pre-activation, activation and (calibrator only) gate, whichever half
+    runs first.
+    """
     Z = np.asarray(Z, dtype=np.float64)
     wd = m.w_down.astype(np.float64)
     wu = m.w_up.astype(np.float64)
@@ -214,57 +193,34 @@ def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False)
     vu = m.v_up.astype(np.float64)
     cfg = m.config
     if cfg.reversed:
-        C, Q, T, G = _calibrator_rows(Z, vd, vu, cfg)
-        out, H, S = _adapter_rows(C, wd, wu, cfg)
-        cache = (Z, Q, T, G, C, H, S)
+        C, calibrator_cache = _calibrator_rows(Z, vd, vu, cfg)
+        out, adapter_cache = _adapter_rows(C, wd, wu, cfg)
     else:
-        A, H, S = _adapter_rows(Z, wd, wu, cfg)
-        out, Q, T, G = _calibrator_rows(A, vd, vu, cfg)
-        cache = (Z, H, S, A, Q, T, G)
+        A, adapter_cache = _adapter_rows(Z, wd, wu, cfg)
+        out, calibrator_cache = _calibrator_rows(A, vd, vu, cfg)
     if return_cache:
-        return out, cache
+        return out, (adapter_cache, calibrator_cache)
     return out
 
 
-def luca_backward_batch(m: LucaModule, cache, U: np.ndarray):
-    """Batch-summed gradients given a forward cache and upstream rows U."""
+def luca_backward_batch(m: LucaModule, cache, U: np.ndarray) -> LucaGradients:
+    """Batch-summed gradients of sum(U * luca_forward_batch(Z)) given the
+    forward's cache; ``d_input`` keeps one row per sample."""
     wd = m.w_down.astype(np.float64)
     wu = m.w_up.astype(np.float64)
     vd = m.v_down.astype(np.float64)
     vu = m.v_up.astype(np.float64)
     cfg = m.config
     U = np.asarray(U, dtype=np.float64)
+    adapter_cache, calibrator_cache = cache
     if cfg.reversed:
-        Z, Q, T, G, C, H, S = cache
-        d_wup = S.T @ U
-        dS = U @ wu.T
-        dH = dS * activation_grad(cfg.adapter_act, H)
-        d_wdown = C.T @ dH
-        dC = U + dH @ wd.T
-        dZ_direct = dC * G
-        dG = dC * Z
-        d_vup = T.T @ dG
-        dT = dG @ vu.T
-        dQ = dT * activation_grad(cfg.gate_act, Q)
-        d_vdown = Z.T @ dQ
-        dZ = dZ_direct + dQ @ vd.T
+        d_wdown, d_wup, dC = _adapter_grads(adapter_cache, wd, wu, cfg, U)
+        d_vdown, d_vup, dZ = _calibrator_grads(calibrator_cache, vd, vu, cfg, dC)
     else:
-        Z, H, S, A, Q, T, G = cache
-        dA_direct = U * G
-        dG = U * A
-        d_vup = T.T @ dG
-        dT = dG @ vu.T
-        dQ = dT * activation_grad(cfg.gate_act, Q)
-        d_vdown = A.T @ dQ
-        dA = dA_direct + dQ @ vd.T
-        d_wup = S.T @ dA
-        dS = dA @ wu.T
-        dH = dS * activation_grad(cfg.adapter_act, H)
-        d_wdown = Z.T @ dH
-        dZ = dA + dH @ wd.T
-    grads = LucaGradients(w_down=d_wdown, w_up=d_wup, v_down=d_vdown, v_up=d_vup,
-                          d_input=dZ)
-    return grads
+        d_vdown, d_vup, dA = _calibrator_grads(calibrator_cache, vd, vu, cfg, U)
+        d_wdown, d_wup, dZ = _adapter_grads(adapter_cache, wd, wu, cfg, dA)
+    return LucaGradients(w_down=d_wdown, w_up=d_wup, v_down=d_vdown, v_up=d_vup,
+                         d_input=dZ)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +254,15 @@ def sparsity_ratio(m: LucaModule, threshold: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference check of the manual backward pass.
+# Finite-difference check of the batched backward pass that training runs.
+
+_CHECK_ROWS = 3  # more than one, so the sums over the batch are checked too
+
 
 def gradient_check(trials: int = 20, d_max: int = 16, r_max: int = 4,
                    h: float = 1e-5, seed: int = 7041) -> float:
-    """Max relative error of ``luca_backward`` vs central differences.
+    """Max relative error of ``luca_backward_batch`` vs central differences
+    of sum(U * luca_forward_batch(Z)) on three-row batches.
 
     Cycles through all 9 (adapter_act, gate_act) pairs and both gate/order
     flags across ``trials`` random float64 modules.  Inputs are resampled when
@@ -324,65 +284,49 @@ def gradient_check(trials: int = 20, d_max: int = 16, r_max: int = 4,
             "v_up": gen.normals(r * d, std=0.5).reshape(r, d),
         }
         m = LucaModule(d=d, r=r, config=cfg, **mats)
-        z = _sample_away_from_kinks(gen, m)
-        upstream = gen.normals(d)
-        worst = max(worst, _module_fd_error(z, m, upstream, h))
+        Z, cache = _sample_away_from_kinks(gen, m)
+        U = gen.normals(_CHECK_ROWS * d).reshape(_CHECK_ROWS, d)
+        worst = max(worst, _module_fd_error(Z, cache, m, U, h))
     return worst
 
 
 def _sample_away_from_kinks(gen, m, margin: float = 1e-6, attempts: int = 200):
+    # (Z, forward cache) with every relu pre-activation, H or Q, off its kink
     for _ in range(attempts):
-        z = gen.normals(m.d)
-        if m.config.reversed:
-            q = z @ m.v_down.astype(np.float64)
-            c = calibrator_forward(z, m)
-            hh = c @ m.w_down.astype(np.float64)
-        else:
-            hh = z @ m.w_down.astype(np.float64)
-            a = adapter_forward(z, m)
-            q = a @ m.v_down.astype(np.float64)
+        Z = gen.normals(_CHECK_ROWS * m.d).reshape(_CHECK_ROWS, m.d)
+        _, cache = luca_forward_batch(Z, m, return_cache=True)
+        (_, H, _), (_, Q, _, _) = cache
         bad = False
-        if m.config.adapter_act == "relu" and np.abs(hh).min() < margin:
+        if m.config.adapter_act == "relu" and np.abs(H).min() < margin:
             bad = True
-        if m.config.gate_act == "relu" and np.abs(q).min() < margin:
+        if m.config.gate_act == "relu" and np.abs(Q).min() < margin:
             bad = True
         if not bad:
-            return z
+            return Z, cache
     raise RuntimeError("could not sample inputs away from relu kinks")
 
 
-def _module_fd_error(z, m: LucaModule, upstream, h: float) -> float:
-    analytic = luca_backward(z, m, upstream)
+def _module_fd_error(Z, cache, m: LucaModule, U, h: float) -> float:
+    analytic = luca_backward_batch(m, cache, U)
 
     def probe() -> float:
-        return float(np.dot(upstream, luca_forward(z, m)))
+        return float(np.sum(U * luca_forward_batch(Z, m)))
 
+    checked = [(getattr(m, name), getattr(analytic, name))
+               for name in ("w_down", "w_up", "v_down", "v_up")]
     worst = 0.0
-    for name in ("w_down", "w_up", "v_down", "v_up"):
-        mat = getattr(m, name)
-        grad = getattr(analytic, name)
-        it = np.nditer(mat, flags=["multi_index"])
+    for arr, grad in checked + [(Z, analytic.d_input)]:
+        it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            orig = mat[idx]
-            mat[idx] = orig + h
+            orig = arr[idx]
+            arr[idx] = orig + h
             f_plus = probe()
-            mat[idx] = orig - h
+            arr[idx] = orig - h
             f_minus = probe()
-            mat[idx] = orig
+            arr[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = float(grad[idx])
             denom = max(abs(a), abs(numeric), 1e-6)
             worst = max(worst, abs(a - numeric) / denom)
-    for i in range(m.d):
-        orig = z[i]
-        z[i] = orig + h
-        f_plus = probe()
-        z[i] = orig - h
-        f_minus = probe()
-        z[i] = orig
-        numeric = (f_plus - f_minus) / (2.0 * h)
-        a = float(analytic.d_input[i])
-        denom = max(abs(a), abs(numeric), 1e-6)
-        worst = max(worst, abs(a - numeric) / denom)
     return worst

@@ -1,11 +1,11 @@
 """Scalar/vector numeric primitives shared by every other module.
 
 Parameters and features live in float32; every reduction here accumulates in
-float64.  ``dot``/``vecmat``/``matvec`` fix the exact accumulation order
-(ascending index).  The per-sample backward pass ``luca.luca_backward`` is
-built on ``vecmat`` and ``matvec``; it is the independent reference that
-``gradient_check`` and the tests hold the batched numpy path to.  Every
-forward pass, single-row or batched, uses numpy matmul.
+float64.  Every forward and backward pass, single-row or batched, uses numpy
+matmul.  ``vecmat`` fixes the exact accumulation order (ascending index); no
+pass in the package calls it.  It is kept for the benchmark tracer's
+``numerics.vecmat`` seam and for the per-sample reference backward in the
+tests, which the batched pass is held to.
 """
 
 from __future__ import annotations
@@ -78,18 +78,6 @@ def shannon_entropy(p) -> float:
     return float(-(nz * np.log(nz)).sum()) + 0.0
 
 
-def dot(u, v) -> float:
-    """Inner product with left-to-right float64 accumulation."""
-    uu = np.asarray(u, dtype=np.float64).tolist()
-    vv = np.asarray(v, dtype=np.float64).tolist()
-    if len(uu) != len(vv):
-        raise ValueError("dimension mismatch")
-    acc = 0.0
-    for a, b in zip(uu, vv):
-        acc += a * b
-    return acc
-
-
 def vecmat(v, m) -> np.ndarray:
     """Row-vector times matrix, out[j] = sum_i v[i] m[i,j], i ascending."""
     m = np.asarray(m, dtype=np.float64)
@@ -104,22 +92,4 @@ def vecmat(v, m) -> np.ndarray:
         row = rows_list[i]
         for j in range(cols):
             out[j] += vi * row[j]
-    return np.array(out, dtype=np.float64)
-
-
-def matvec(m, v) -> np.ndarray:
-    """Matrix times column vector, out[i] = sum_j m[i,j] v[j], j ascending."""
-    m = np.asarray(m, dtype=np.float64)
-    vv = np.asarray(v, dtype=np.float64).tolist()
-    rows, cols = m.shape
-    if len(vv) != cols:
-        raise ValueError("dimension mismatch")
-    rows_list = m.tolist()
-    out = [0.0] * rows
-    for i in range(rows):
-        row = rows_list[i]
-        acc = 0.0
-        for j in range(cols):
-            acc += row[j] * vv[j]
-        out[i] = acc
     return np.array(out, dtype=np.float64)

@@ -142,6 +142,16 @@ def test_gradcheck_passes(capsys):
     assert "max relative error:" in out
 
 
+def test_gradcheck_fails_on_a_wrong_derivative(monkeypatch, capsys):
+    # a 1% error in every activation derivative reaches the batched backward
+    import tosca.luca
+    exact = tosca.luca.activation_grad
+    monkeypatch.setattr(tosca.luca, "activation_grad",
+                        lambda kind, x: 1.01 * exact(kind, x))
+    assert main(["gradcheck"]) == 1
+    assert "max relative error:" in capsys.readouterr().out
+
+
 def test_report_conversion_and_plot(bench, tmp_path):
     rep_a = tmp_path / "a.json"
     rep_b = tmp_path / "b.json"

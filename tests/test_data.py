@@ -225,3 +225,24 @@ def test_feature_file_rejects_non_finite_values(tmp_path):
                                      labels=np.arange(3, dtype=np.uint32)), p)
         with pytest.raises(ValueError, match="non-finite feature values"):
             load_features(p)
+
+
+def test_feature_file_rejects_trailing_bytes(tmp_path):
+    ds = FeatureDataset(name="x",
+                        features=np.arange(12, dtype=np.float32).reshape(4, 3),
+                        labels=np.arange(4, dtype=np.uint32))
+    p = tmp_path / "f.ftr"
+    save_features(ds, p)
+    blob = p.read_bytes()
+    p.write_bytes(blob + b"\x00")
+    with pytest.raises(ValueError,
+                       match="trailing bytes after the last record: 1"):
+        load_features(p)
+    # single-bit header flips that leave records unread: n 4->0, d 3->2, d 3->1
+    for offset, bit, extra in ((16, 0x04, 64), (12, 0x01, 16), (12, 0x02, 32)):
+        bad = bytearray(blob)
+        bad[offset] ^= bit
+        p.write_bytes(bytes(bad))
+        with pytest.raises(ValueError,
+                           match=f"trailing bytes after the last record: {extra}"):
+            load_features(p)

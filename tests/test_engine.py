@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -366,13 +367,21 @@ def test_non_finite_rows_fail_on_every_routing_entry_point():
         Z[2, 1] = bad
         test = FeatureDataset(name="bad", features=Z,
                               labels=np.array([0, 1, 2, 3], dtype=np.uint32))
-        with np.errstate(invalid="ignore"):  # inf * 0 inside the forward
-            with pytest.raises(ValueError, match="non-finite logits"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before the forward runs
+            with pytest.raises(ValueError, match="non-finite features"):
                 predict(Z[2], bank)
-            with pytest.raises(ValueError, match="non-finite logits"):
+            with pytest.raises(ValueError, match="non-finite features"):
                 predict_batch(Z, bank)
-            with pytest.raises(ValueError, match="non-finite logits"):
+            with pytest.raises(ValueError, match="non-finite features"):
                 evaluate_stage(bank, test)
+    # a finite row can still overflow a session's logits: 2e308 here
+    summing = ModuleBank(d)
+    summing.append(_entry(1, d, (0, 1), w=np.ones((d, 2), dtype=np.float32)))
+    big = np.array([1e308, 1e308, 0.0, 0.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite logits"):
+            predict(big, summing)
 
 
 def test_evaluate_stage_rejects_labels_outside_the_bank():

@@ -11,11 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracle import luca_backward
 from tosca.luca import (LucaConfig, LucaModule, adapter_forward,
                         calibrator_forward, gradient_check, init_luca,
-                        l1_norm, layerwise_adapter_count, luca_backward,
-                        luca_backward_batch, luca_forward, luca_forward_batch,
-                        param_count, sparsity_ratio)
+                        l1_norm, layerwise_adapter_count, luca_backward_batch,
+                        luca_forward, luca_forward_batch, param_count,
+                        sparsity_ratio)
 from tosca.numerics import ACTIVATIONS
 from tosca.rng import Xoshiro256StarStar
 
@@ -95,8 +96,6 @@ def test_input_validation():
     m = init_luca(4, 2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         luca_forward(np.zeros(5), m)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        luca_backward(np.zeros(4), m, np.zeros(3))
     with pytest.raises(ValueError, match="dimensions must be positive"):
         init_luca(0, 2)
     with pytest.raises(ValueError):
@@ -265,7 +264,7 @@ def test_batch_backward_matches_finite_differences(adapter_act, gate_act,
         Z = gen.normals(B * d).reshape(B, d)
         _, cache = luca_forward_batch(Z, m, return_cache=True)
         # adapter and gate pre-activations, H and Q, must sit off relu kinks
-        H, Q = (cache[5], cache[1]) if rev else (cache[1], cache[4])
+        (_, H, _), (_, Q, _, _) = cache
         if min(np.abs(H).min(), np.abs(Q).min()) >= 1e-3:
             break
     U = gen.normals(B * d).reshape(B, d)
@@ -274,7 +273,9 @@ def test_batch_backward_matches_finite_differences(adapter_act, gate_act,
 
 def test_upstream_zero_gives_zero_grads():
     m = init_luca(5, 2, rng_seed=7, dtype=np.float64)
-    g = luca_backward(Xoshiro256StarStar(1).normals(5), m, np.zeros(5))
+    z = Xoshiro256StarStar(1).normals(5)[None, :]
+    _, cache = luca_forward_batch(z, m, return_cache=True)
+    g = luca_backward_batch(m, cache, np.zeros((1, 5)))
     for slot in _SLOTS + ("d_input",):
         assert np.array_equal(getattr(g, slot), np.zeros_like(getattr(g, slot)))
 
@@ -284,8 +285,9 @@ def test_dead_relu_bottleneck_blocks_w_up_grad():
     m = LucaModule(d=3, r=2, config=cfg,
                    w_down=np.full((3, 2), -1.0), w_up=np.ones((2, 3)),
                    v_down=np.zeros((3, 2)), v_up=np.zeros((2, 3)))
-    z = np.array([1.0, 1.0, 1.0])  # pre-activations all -3: relu dead
-    g = luca_backward(z, m, np.ones(3))
+    z = np.array([[1.0, 1.0, 1.0]])  # pre-activations all -3: relu dead
+    _, cache = luca_forward_batch(z, m, return_cache=True)
+    g = luca_backward_batch(m, cache, np.ones((1, 3)))
     assert np.array_equal(g.w_up, np.zeros((2, 3)))
     assert np.array_equal(g.w_down, np.zeros((3, 2)))
 
@@ -311,20 +313,26 @@ def test_batch_forward_matches_single():
 
 
 def test_batch_backward_sums_per_sample_grads():
-    cfg = LucaConfig(reversed=False)
-    m = init_luca(6, 2, config=cfg, rng_seed=31, dtype=np.float64)
-    m.w_up[:] = Xoshiro256StarStar(32).normals(12).reshape(2, 6) * 0.2
+    # against the exact-order per-sample reference in tests/oracle.py
     Z = Xoshiro256StarStar(33).normals(24).reshape(4, 6)
     U = Xoshiro256StarStar(34).normals(24).reshape(4, 6)
-    _, cache = luca_forward_batch(Z, m, return_cache=True)
-    got = luca_backward_batch(m, cache, U)
-    want = {slot: np.zeros_like(getattr(m, slot)) for slot in _SLOTS}
-    for i in range(4):
-        gi = luca_backward(Z[i], m, U[i])
+    for rev in (False, True):
+        cfg = LucaConfig(reversed=rev)
+        m = init_luca(6, 2, config=cfg, rng_seed=31, dtype=np.float64)
+        m.w_up[:] = Xoshiro256StarStar(32).normals(12).reshape(2, 6) * 0.2
+        _, cache = luca_forward_batch(Z, m, return_cache=True)
+        got = luca_backward_batch(m, cache, U)
+        want = {slot: np.zeros_like(getattr(m, slot)) for slot in _SLOTS}
+        for i in range(4):
+            gi = luca_backward(Z[i], m, U[i])
+            _, row_cache = luca_forward_batch(Z[i:i + 1], m, return_cache=True)
+            row = luca_backward_batch(m, row_cache, U[i:i + 1])
+            for slot in _SLOTS:
+                want[slot] += getattr(gi, slot)
+                assert np.allclose(getattr(row, slot), getattr(gi, slot),
+                                   rtol=1e-10, atol=1e-12)
+            assert np.allclose(row.d_input[0], gi.d_input, rtol=1e-10, atol=1e-12)
+            assert np.allclose(got.d_input[i], gi.d_input, rtol=1e-10, atol=1e-12)
         for slot in _SLOTS:
-            want[slot] += getattr(gi, slot)
-    for slot in _SLOTS:
-        assert np.allclose(getattr(got, slot), want[slot], rtol=1e-10, atol=1e-12)
-    for i in range(4):
-        assert np.allclose(got.d_input[i], luca_backward(Z[i], m, U[i]).d_input,
-                           rtol=1e-10, atol=1e-12)
+            assert np.allclose(getattr(got, slot), want[slot],
+                               rtol=1e-10, atol=1e-12)
