@@ -146,13 +146,12 @@ def synth_gaussian(d: int, num_classes: int, n_train: int, n_test: int,
         means[c] = v * (separation / norm)
 
     def draw(gen, per_class):
-        feats = np.empty((num_classes * per_class, d), dtype=np.float32)
-        labels = np.empty(num_classes * per_class, dtype=np.uint32)
-        for c in range(num_classes):
-            noise = gen.normals(per_class * d, std=sigma).reshape(per_class, d)
-            block = slice(c * per_class, (c + 1) * per_class)
-            feats[block] = (means[c] + noise).astype(np.float32)
-            labels[block] = c
+        # one draw for the whole split: the stream is continuous across calls
+        noise = gen.normals(num_classes * per_class * d, std=sigma)
+        noise = noise.reshape(num_classes, per_class, d)
+        noise += means[:, None, :]
+        feats = noise.reshape(num_classes * per_class, d).astype(np.float32)
+        labels = np.repeat(np.arange(num_classes, dtype=np.uint32), per_class)
         return feats, labels
 
     tr_f, tr_y = draw(train_gen, n_train)

@@ -22,7 +22,9 @@ Bank file layout (all little endian):
 
 from __future__ import annotations
 
+import copy
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -141,15 +143,18 @@ class ScenarioConfig:
 
 def train_session(bank: ModuleBank, train: FeatureDataset, class_ids,
                   cfg: ScenarioConfig, seed: int,
-                  init_seed: int | None = None) -> ModuleBank:
+                  init_seed: int | None = None,
+                  init: LucaModule | None = None) -> ModuleBank:
     """Fit a fresh module + head on one session's classes and bank it.
 
     ``derive_seeds(seed, 2)`` splits the session seed into an init seed and a
     shuffle seed, so weight init and batch order come from independent
     streams and rerunning a session is bit-reproducible.  The scenario
-    driver passes one shared ``init_seed`` for every session, so modules
-    differ only through what they were trained on; parameter-space
-    comparisons between sessions then measure training, not init noise.
+    driver gives every session the same init, so modules differ only
+    through what they were trained on; parameter-space comparisons between
+    sessions then measure training, not init noise.  It draws that init
+    once and passes it as ``init``, which is copied, never trained in
+    place; ``init_seed`` draws it here instead.  Give at most one of them.
     """
     ids = tuple(sorted(int(c) for c in class_ids))
     seen = set(bank.class_ids)
@@ -161,9 +166,17 @@ def train_session(bank: ModuleBank, train: FeatureDataset, class_ids,
     if ds.d != bank.feature_dim:
         raise ValueError("dimension mismatch")
     derived_init, shuffle_seed = derive_seeds(seed, 2)
-    if init_seed is None:
-        init_seed = derived_init
-    module = init_luca(bank.feature_dim, cfg.r, cfg.luca_config(), init_seed)
+    if init is not None:
+        if init_seed is not None:
+            raise ValueError("give init_seed or init, not both")
+        if (init.d, init.r, init.config) != (bank.feature_dim, cfg.r,
+                                             cfg.luca_config()):
+            raise ValueError("init does not match the bank and config")
+        module = copy.deepcopy(init)  # training writes in place
+    else:
+        if init_seed is None:
+            init_seed = derived_init
+        module = init_luca(bank.feature_dim, cfg.r, cfg.luca_config(), init_seed)
     head = make_head(bank.feature_dim, ids)
     train_epochs(module, head, ds, cfg.optim, Xoshiro256StarStar(shuffle_seed))
     entry = BankEntry(session_index=len(bank) + 1, module=module, head=head)
@@ -337,6 +350,15 @@ class ScenarioReport:
         }
 
 
+@contextmanager
+def _naming_divergence(method: str, stage: str):
+    """Re-raise a training divergence with the method and the stage."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{method} {stage}: {exc}") from exc
+
+
 def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
                  method: str = "tosca", cfg: ScenarioConfig | None = None,
                  seed: int = 1993) -> ScenarioReport:
@@ -345,7 +367,8 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     Stage b is always scored on the test rows of every class seen through
     stage b; A_bar averages those stage accuracies.  Each stage draws its own
     seed from the master via ``derive_seeds`` so later stages cannot perturb
-    earlier ones.
+    earlier ones.  A training divergence raises ``FloatingPointError`` naming
+    the method, the stage and the epoch.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -369,9 +392,11 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
 
     if method in ("tosca", "tosca_r"):
         bank = ModuleBank(d)
+        init = init_luca(d, cfg.r, cfg.luca_config(), shared_init)
         for b, classes in enumerate(splits.stages, start=1):
-            train_session(bank, train, classes, cfg, stage_seeds[b - 1],
-                          init_seed=shared_init)
+            with _naming_divergence(method, f"stage {b}"):
+                train_session(bank, train, classes, cfg, stage_seeds[b - 1],
+                              init=init)
             ev = evaluate_stage(bank, test.subset(splits.classes_through(b)),
                                 cfg.normalize_entropy)
             stages.append({"index": b, "A_b": ev.accuracy,
@@ -394,8 +419,9 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
             else:
                 head = extend_head(head, ids)
                 params.append(d * len(ids))
-            train_epochs(module, head, ds, cfg.optim,
-                         Xoshiro256StarStar(shuffle_seed))
+            with _naming_divergence(method, f"stage {b}"):
+                train_epochs(module, head, ds, cfg.optim,
+                             Xoshiro256StarStar(shuffle_seed))
             ev = _eval_single(module, head,
                               test.subset(splits.classes_through(b)),
                               splits.stages)
@@ -411,8 +437,9 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
         init_seed, shuffle_seed = derive_seeds(stage_seeds[0], 2)
         module = init_luca(d, cfg.r, cfg.luca_config(), init_seed)
         head = make_head(d, all_ids)
-        train_epochs(module, head, ds, cfg.optim,
-                     Xoshiro256StarStar(shuffle_seed))
+        with _naming_divergence(method, f"stages 1-{B}"):
+            train_epochs(module, head, ds, cfg.optim,
+                         Xoshiro256StarStar(shuffle_seed))
         for b in range(1, B + 1):
             ev = _eval_single(module, head,
                               test.subset(splits.classes_through(b)),
@@ -472,6 +499,8 @@ def feature_shift(bank: ModuleBank, features: np.ndarray) -> tuple:
         raise ValueError("dimension mismatch")
     if Z.shape[0] == 0:
         raise ValueError("no samples")
+    if not np.isfinite(Z).all():
+        raise ValueError("non-finite features")
     base = np.linalg.norm(Z, axis=1)
     if np.any(base == 0.0):
         raise ValueError("degenerate vector")

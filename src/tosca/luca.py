@@ -95,10 +95,10 @@ def init_luca(d: int, r: int, config: LucaConfig | None = None, rng_seed: int = 
     if d < 1 or r < 1:
         raise ValueError("dimensions must be positive")
     config = config or LucaConfig()
-    gen = Xoshiro256StarStar(rng_seed)
-    w_down = gen.normals(d * r, std=INIT_STD).reshape(d, r).astype(dtype)
-    v_down = gen.normals(d * r, std=INIT_STD).reshape(d, r).astype(dtype)
-    v_up = gen.normals(r * d, std=INIT_STD).reshape(r, d).astype(dtype)
+    draws = Xoshiro256StarStar(rng_seed).normals(3 * d * r, std=INIT_STD)
+    w_down = draws[:d * r].reshape(d, r).astype(dtype)
+    v_down = draws[d * r:2 * d * r].reshape(d, r).astype(dtype)
+    v_up = draws[2 * d * r:].reshape(r, d).astype(dtype)
     w_up = np.zeros((r, d), dtype=dtype)
     return LucaModule(d=d, r=r, w_down=w_down, w_up=w_up, v_down=v_down, v_up=v_up,
                       config=config)

@@ -150,6 +150,37 @@ def test_shared_init_seed_contract():
     assert np.array_equal(a.w_down, b.w_down)
 
 
+def test_training_from_a_shared_init_leaves_it_untouched():
+    # the driver draws the shared init once and every session copies it
+    train, _, _ = _small_scenario()
+    init = init_luca(16, _FAST.r, _FAST.luca_config(), 42)
+    bank = ModuleBank(16)
+    train_session(bank, train, (0, 1), _FAST, seed=5, init=init)
+    train_session(bank, train, (2, 3), _FAST, seed=6, init=init)
+    fresh = init_luca(16, _FAST.r, _FAST.luca_config(), 42)
+    for got, want in zip(init.matrices(), fresh.matrices()):
+        assert got.tobytes() == want.tobytes()
+    trained = [e.module for e in bank.entries]
+    assert not np.array_equal(trained[0].w_up, fresh.w_up)
+    for a, b in ((init, trained[0]), (init, trained[1]),
+                 (trained[0], trained[1])):
+        for x, y in zip(a.matrices(), b.matrices()):
+            assert not np.shares_memory(x, y)
+    # a copied init trains exactly like one drawn from its seed
+    by_seed = ModuleBank(16)
+    train_session(by_seed, train, (0, 1), _FAST, seed=5, init_seed=42)
+    assert (entry_checksum(by_seed.entries[0])
+            == entry_checksum(bank.entries[0]))
+    with pytest.raises(ValueError, match="not both"):
+        train_session(ModuleBank(16), train, (0, 1), _FAST, seed=5,
+                      init_seed=42, init=init)
+    for other in (init_luca(16, 4, _FAST.luca_config()),
+                  init_luca(16, _FAST.r, LucaConfig(reversed=True))):
+        with pytest.raises(ValueError, match="init does not match"):
+            train_session(ModuleBank(16), train, (0, 1), _FAST, seed=5,
+                          init=other)
+
+
 # --- routing -----------------------------------------------------------------
 
 def test_predict_validation():
@@ -409,6 +440,16 @@ def test_run_scenario_validation():
         run_scenario(wide, test, splits, method="tosca", cfg=_FAST)
 
 
+def test_divergence_names_the_method_stage_and_epoch():
+    # the headline finetune config overflows on data, split and run seed 31
+    train, test = synth_gaussian(32, 50, 100, 50, 138.0, 23.0, 31)
+    splits = make_splits(train.class_ids, 0, 5, 31)
+    with pytest.raises(FloatingPointError,
+                       match=r"^finetune stage 6: training diverged in epoch 1$"):
+        with np.errstate(all="ignore"):
+            run_scenario(train, test, splits, "finetune", ScenarioConfig(), 31)
+
+
 def test_report_structure_and_a_bar():
     train, test, splits = _small_scenario()
     report = run_scenario(train, test, splits, method="tosca", cfg=_FAST,
@@ -535,6 +576,13 @@ def test_feature_shift():
         feature_shift(bank, np.zeros((2, 4)))
     with pytest.raises(ValueError, match="dimension mismatch"):
         feature_shift(bank, np.zeros((2, 5)))
+    for bad in (np.nan, np.inf, -np.inf):
+        Z_bad = Z.copy()
+        Z_bad[2, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite features"):
+                feature_shift(bank, Z_bad)
 
 
 # --- bank container ----------------------------------------------------------

@@ -6,10 +6,12 @@ library code), plus the published reference outputs for both generators.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tosca.rng
 from tosca.rng import Xoshiro256StarStar, derive_seeds, splitmix64
 
 M64 = 0xFFFFFFFFFFFFFFFF
@@ -158,6 +160,18 @@ def test_permutation_is_fisher_yates():
     assert sorted(perm.tolist()) == list(range(20))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 500])
+def test_permutation_replays_next_u64_fisher_yates(n):
+    gen = Xoshiro256StarStar(17)
+    raw = Xoshiro256StarStar(17)
+    idx = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = raw.next_u64() % (i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    assert gen.permutation(n).tolist() == idx
+    assert gen._s == raw._s
+
+
 def test_shuffle_agrees_with_permutation():
     items = list("abcdefghij")
     Xoshiro256StarStar(4).shuffle(items)
@@ -171,3 +185,99 @@ def test_streams_are_distinct_and_deterministic():
     assert not np.array_equal(a, b)
     again = Xoshiro256StarStar(1993, stream=0).uint64s(8)
     assert np.array_equal(a, again)
+
+
+# --- the bulk path -----------------------------------------------------------
+
+def _berlekamp_massey(bits):
+    """Shortest LFSR of a GF(2) sequence: (connection polynomial, length)."""
+    c, b, length, shift = 1, 1, 0, 1
+    for i, bit in enumerate(bits):
+        d = bit
+        for j in range(1, length + 1):
+            d ^= (c >> j) & bits[i - j]
+        if d == 0:
+            shift += 1
+        elif 2 * length <= i:
+            c, b = c ^ (b << shift), c
+            length, shift = i + 1 - length, 1
+        else:
+            c ^= b << shift
+            shift += 1
+    return c, length
+
+
+def test_characteristic_polynomial_is_rederived_by_berlekamp_massey():
+    gen = Xoshiro256StarStar(1)
+    bits = []
+    for _ in range(1024):
+        bits.append(gen._s[0] & 1)
+        gen.next_u64()
+    conn, length = _berlekamp_massey(bits)
+    assert length == 256
+    # the characteristic polynomial is the reversed connection polynomial
+    charpoly = int(format(conn, f"0{length + 1}b")[::-1], 2)
+    assert charpoly == tosca.rng._CHARPOLY
+    assert bin(charpoly).count("1") == 115
+
+
+def test_jump_polynomial_moves_the_state():
+    for k in (0, 1, 255, 256, 1000):
+        raw = Xoshiro256StarStar(29)
+        start = np.array(raw._s, dtype=np.uint64)[:, None]
+        for _ in range(k):
+            raw.next_u64()
+        jumped = tosca.rng._jump(start, [tosca.rng._xpow(k)])
+        assert tuple(int(w) for w in jumped[0, :, 0]) == raw._s
+
+
+_CROSS = tosca.rng._BULK_MIN
+_BLOCK = tosca.rng._BLOCK
+_SIZES = [_CROSS - 1, _CROSS, _CROSS + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+          2 * _BLOCK + 3]
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_bulk_draws_replay_the_scalar_loop(n, monkeypatch):
+    bulk = Xoshiro256StarStar(1993, stream=n % 3)
+    scalar = Xoshiro256StarStar(1993, stream=n % 3)
+
+    def both(method, *args, **kwargs):
+        got = getattr(bulk, method)(*args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(tosca.rng, "_BULK_MIN", 1 << 62)
+            want = getattr(scalar, method)(*args, **kwargs)
+        assert got.tobytes() == want.tobytes()
+        assert bulk._s == scalar._s
+        assert bulk._spare == scalar._spare
+
+    both("uint64s", n)
+    both("normals", 1)  # leaves a spare pending
+    both("normals", n, mean=-3.0, std=0.5)  # n even: a spare again
+    both("normals", 3)
+
+
+def test_bulk_state_equals_the_stepped_state():
+    n = _BLOCK + 7
+    gen = Xoshiro256StarStar(5)
+    gen.uint64s(n)
+    raw = Xoshiro256StarStar(5)
+    oracle = _OracleXoshiro(raw._s)
+    for _ in range(n):
+        oracle.next()
+    assert list(gen._s) == oracle.state
+    assert gen.next_u64() == oracle.next()
+
+
+def test_bulk_normals_memory_is_bounded():
+    # temporaries stay at a few blocks; only the output grows with n
+    n = 2**21
+    gen = Xoshiro256StarStar(3)
+    tracemalloc.start()
+    try:
+        z = gen.normals(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert z.shape == (n,)
+    assert peak < 8 * n + 16 * 2**20
