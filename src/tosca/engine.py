@@ -18,6 +18,13 @@ Bank file layout (all little endian):
     per entry: session_index u32, K u32, K class ids u32,
                W_down, W_up, V_down, V_up, W_head as row-major float32,
                then a u64 FNV-1a checksum of the entry's preceding bytes.
+
+The layout and every byte of it are unchanged since version 1.  The checksum
+is still the 64-bit FNV-1a of the byte loop ``h = ((h ^ b) * P) mod 2**64``;
+``fnv1a`` computes the same value with numpy passes over 64 KiB blocks (a
+wrapping uint64 power sum plus eight bit-packed prefix XORs for the low
+byte), so its temporaries stay near 1 MiB at any entry size.  ``load_bank``
+checks the entry count against the file size before reading any entry.
 """
 
 from __future__ import annotations
@@ -514,11 +521,69 @@ def feature_shift(bank: ModuleBank, features: np.ndarray) -> tuple:
 # ---------------------------------------------------------------------------
 # Bank container.
 
-def fnv1a(data: bytes) -> int:
+# FNV-1a runs as numpy passes over blocks of _FNV_BLOCK bytes, with the
+# values of the byte loop ``h = ((h ^ b) * P) mod 2**64``.  XOR with a byte
+# changes only the low byte s of h, by delta = (s ^ b) - s, so a block of m
+# bytes takes h to P**m * h + sum_t P**(m - t) * delta_t, a wrapping uint64
+# dot product against _FNV_POWERS.  The low bytes evolve on their own,
+# s' = ((s ^ b) * (P mod 256)) mod 256, and as P is odd, bit j of s' is bit
+# j of s XOR a term of b and the bits of s below j: eight prefix-XOR passes.
+_FNV_BLOCK = 1 << 16
+# P**(B - t) at t = 0 .. B-1, built in place so that import allocates only
+# the table itself (512 KiB).
+_FNV_POWERS = np.full(_FNV_BLOCK, FNV_PRIME, dtype=np.uint64)
+np.multiply.accumulate(_FNV_POWERS, out=_FNV_POWERS)
+_FNV_POWERS = _FNV_POWERS[::-1]
+_FNV_LOW = np.uint8(FNV_PRIME & 0xFF)
+
+
+def _prefix_xor(bits: np.ndarray, first: int) -> np.ndarray:
+    """Exclusive prefix XOR of the 0/nonzero bytes ``bits`` (length a multiple
+    of 64), XOR ``first``, as 0/1 bytes: out[i] = first ^ bits[0..i-1]."""
+    c = np.packbits(bits, bitorder="little").view("<u8")
+    w = c.copy()
+    for k in (1, 2, 4, 8, 16, 32):  # inclusive prefix within each word
+        w ^= w << np.uint64(k)
+    par = w >> np.uint64(63)
+    carry = np.bitwise_xor.accumulate(par)
+    carry ^= par  # parity of the words before
+    carry ^= np.uint64(first)
+    w ^= c
+    w ^= carry * np.uint64(_U64)
+    return np.unpackbits(w.view(np.uint8), bitorder="little")
+
+
+def _fnv_low_bytes(s0: int, b: np.ndarray) -> np.ndarray:
+    """Low byte of the hash before each byte of ``b``, from ``s0`` on."""
+    low = np.zeros_like(b)
+    t = np.empty_like(b)
+    for j in range(8):
+        bit = np.uint8(1 << j)
+        np.bitwise_xor(low, b, out=t)
+        t &= bit - np.uint8(1)
+        t *= _FNV_LOW
+        t ^= b
+        t &= bit  # bit j of s' XOR bit j of s
+        e = _prefix_xor(t, (s0 >> j) & 1)
+        e *= bit
+        low |= e
+    return low
+
+
+def fnv1a(data) -> int:
+    """64-bit FNV-1a of a bytes-like object (``bytes``, ``memoryview``, ...)."""
+    octets = np.frombuffer(data, dtype=np.uint8)
     h = FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * FNV_PRIME) & _U64
+    for pos in range(0, octets.size, _FNV_BLOCK):
+        b = octets[pos:pos + _FNV_BLOCK]
+        m = b.size
+        padded = np.zeros(-(-m // 64) * 64, dtype=np.uint8)
+        padded[:m] = b
+        s = _fnv_low_bytes(h & 0xFF, padded)[:m]
+        delta = (s ^ b).astype(np.int64)
+        delta -= s
+        tail = int(np.dot(_FNV_POWERS[_FNV_BLOCK - m:], delta.view(np.uint64)))
+        h = (pow(FNV_PRIME, m, 1 << 64) * h + tail) & _U64
     return h
 
 
@@ -568,6 +633,10 @@ def load_bank(path, config: LucaConfig | None = None) -> ModuleBank:
         raise ValueError("not a bank file")
     if r < 1 and count > 0:
         raise ValueError("rank r=0 in a bank with entries")
+    smallest = 8 + 4 + 4 * (4 * d * r + d) + 8  # an entry with K = 1
+    if count * smallest > len(blob) - off:
+        raise ValueError(f"entry count {count} does not fit in the "
+                         f"{len(blob) - off} bytes after the header")
     bank = ModuleBank(d)
     for _ in range(count):
         start = off
@@ -594,7 +663,7 @@ def load_bank(path, config: LucaConfig | None = None) -> ModuleBank:
         if len(blob) < off + 8:
             raise ValueError("unexpected end of file")
         (stored,) = struct.unpack_from("<Q", blob, off)
-        if fnv1a(blob[start:off]) != stored:
+        if fnv1a(memoryview(blob)[start:off]) != stored:
             raise ValueError("checksum mismatch")
         off += 8
         module = LucaModule(d=d, r=r, w_down=mats[0], w_up=mats[1],

@@ -17,7 +17,8 @@ it); any port to another language must reproduce it bit for bit.
 * Shuffles: Fisher-Yates from the top index down with ``j = below(i + 1)``.
 
 How a request is computed does not change the stream.  Requests for fewer
-than ``_BULK_MIN`` (65,536) raw words run the scalar loop.  Larger ones run
+than ``_BULK_MIN`` (65,536) raw words run the scalar loop, which steps the
+state in Python and scrambles the collected words in numpy.  Larger ones run
 the bulk path: the state update is linear over GF(2), so ``T**k s`` is the
 XOR of ``T**i s`` over the set bits i of ``x**k mod p``, where p is the
 update's degree-256 characteristic polynomial (``_CHARPOLY``).  The bulk path
@@ -145,16 +146,21 @@ def _lane_starts(state: tuple, lanes: int, count: int):
     return np.ascontiguousarray(s[:, :lanes]), end
 
 
+def _scramble(s1: np.ndarray, out: np.ndarray, t: np.ndarray) -> None:
+    """The xoshiro256** output ``rotl(s1 * 5, 7) * 9`` into out (which may
+    be s1); t is scratch of the same shape."""
+    np.multiply(s1, _U(5), out=out)
+    np.left_shift(out, _U(7), out=t)
+    out >>= _U(57)
+    out |= t
+    out *= _U(9)
+
+
 def _run_lanes(s: np.ndarray, out: np.ndarray) -> None:
     """Step every lane of s once per row of out, writing the outputs there."""
-    v = np.empty_like(s[1])
     t = np.empty_like(s[1])
     for row in out:
-        np.multiply(s[1], _U(5), out=v)
-        np.left_shift(v, _U(7), out=t)
-        v >>= _U(57)
-        v |= t
-        np.multiply(v, _U(9), out=row)
+        _scramble(s[1], row, t)
         _advance(s, t)
 
 
@@ -185,12 +191,12 @@ class Xoshiro256StarStar:
         return result
 
     def _scalar_uint64s(self, count: int) -> np.ndarray:
-        """The next ``count`` raw outputs, one step at a time."""
+        """The next ``count`` raw outputs: the state steps one at a time, and
+        the scrambler ``rotl(s1 * 5, 7) * 9`` runs in numpy afterwards."""
         s0, s1, s2, s3 = self._s
-        out = [0] * count
+        words = [0] * count
         for i in range(count):
-            v = (s1 * 5) & _MASK
-            out[i] = ((((v << 7) | (v >> 57)) & _MASK) * 9) & _MASK
+            words[i] = s1
             t = (s1 << 17) & _MASK
             s2 ^= s0
             s3 ^= s1
@@ -199,7 +205,9 @@ class Xoshiro256StarStar:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
         self._s = (s0, s1, s2, s3)
-        return np.array(out, dtype=np.uint64)
+        out = np.array(words, dtype=np.uint64)
+        _scramble(out, out, np.empty_like(out))
+        return out
 
     def _blocks(self, count: int):
         """Yield the next ``count`` raw outputs as consecutive uint64 arrays:

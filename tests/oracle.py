@@ -1,14 +1,29 @@
-"""Per-sample reference backward pass for the tests.
+"""Reference implementations for the tests.
 
-An exact-order, one-sample-at-a-time copy of the module's gradients, built on
-``numerics.vecmat`` and the ``matvec`` below rather than numpy matmul.  The
-package's only backward pass, ``luca.luca_backward_batch``, is held to it.
+* A per-sample backward pass: an exact-order, one-sample-at-a-time copy of
+  the module's gradients, built on ``numerics.vecmat`` and the ``matvec``
+  below rather than numpy matmul.  The package's only backward pass,
+  ``luca.luca_backward_batch``, is held to it.
+* ``fnv1a``: the byte-at-a-time 64-bit FNV-1a loop that ``engine.fnv1a``
+  computes with numpy passes.
 """
 
 import numpy as np
 
 from tosca.luca import LucaGradients, LucaModule, adapter_forward, calibrator_forward
 from tosca.numerics import activation, activation_grad, vecmat
+
+FNV_OFFSET = 14695981039346656037
+FNV_PRIME = 1099511628211
+_U64 = (1 << 64) - 1
+
+
+def fnv1a(data: bytes) -> int:
+    h = FNV_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * FNV_PRIME) & _U64
+    return h
 
 
 def matvec(m, v) -> np.ndarray:

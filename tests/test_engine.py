@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracle
 import tosca.engine as engine
 from tosca.data import make_splits, synth_gaussian
 from tosca.engine import (BANK_MAGIC, BankEntry, ModuleBank, ScenarioConfig,
@@ -594,6 +595,46 @@ def test_fnv1a_known_values():
     assert fnv1a(b"foobar") == 0x85944171F73967E8
 
 
+_BLOCK = engine._FNV_BLOCK
+
+
+def _random_bytes(n, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, n, np.uint8).tobytes()
+
+
+def test_fnv1a_matches_the_byte_loop_on_every_single_byte():
+    for b in range(256):
+        assert fnv1a(bytes([b])) == oracle.fnv1a(bytes([b]))
+
+
+@pytest.mark.parametrize("n", list(range(131)) + [
+    _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_fnv1a_matches_the_byte_loop(n):
+    # 0..130 covers the word edges 63/64/65 and 127/128/129
+    data = _random_bytes(n, seed=n)
+    assert fnv1a(data) == oracle.fnv1a(data)
+    assert fnv1a(memoryview(data)) == oracle.fnv1a(data)
+    assert fnv1a(bytearray(data)) == oracle.fnv1a(data)
+
+
+def test_fnv1a_matches_the_byte_loop_on_a_d768_entry():
+    entry = BankEntry(session_index=1, module=init_luca(768, 48, rng_seed=5),
+                      head=make_head(768, (0, 1, 2, 3, 4)))
+    blob = engine._entry_bytes(entry)
+    assert len(blob) == 605_212
+    assert fnv1a(blob) == oracle.fnv1a(blob)
+
+
+def test_fnv1a_sees_every_byte():
+    data = _random_bytes(2 * _BLOCK + 1, seed=7)
+    base = fnv1a(data)
+    for pos in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK, len(data) - 1):
+        flipped = bytearray(data)
+        flipped[pos] ^= 0x01
+        assert fnv1a(flipped) != base, pos
+        assert fnv1a(flipped) == oracle.fnv1a(flipped), pos
+
+
 def test_bank_round_trip(tmp_path):
     train, test, splits = _small_scenario()
     report = run_scenario(train, test, splits, "tosca", _FAST, seed=11)
@@ -682,6 +723,37 @@ def test_bank_load_rejects_trailing_bytes(tmp_path):
         with pytest.raises(ValueError,
                            match="trailing bytes after the last entry: 1"):
             load_bank(p)
+
+
+def test_bank_load_hashes_each_entry_in_place(tmp_path, monkeypatch):
+    bank = ModuleBank(3)
+    bank.append(_entry(1, 3, (4, 9)))
+    bank.append(_entry(2, 3, (5,), seed=1))
+    p = tmp_path / "b.luca"
+    save_bank(bank, p)
+    seen = []
+    real = engine.fnv1a
+
+    def spy(data):
+        seen.append((type(data), len(data)))
+        return real(data)
+
+    monkeypatch.setattr(engine, "fnv1a", spy)
+    load_bank(p)
+    sizes = [len(engine._entry_bytes(e)) for e in bank.entries]
+    assert seen == [(memoryview, n) for n in sizes]
+
+
+def test_bank_load_checks_the_entry_count_first(tmp_path):
+    bank = ModuleBank(3)
+    bank.append(_entry(1, 3, (4, 9)))
+    p = tmp_path / "b.luca"
+    save_bank(bank, p)
+    blob = bytearray(p.read_bytes())
+    blob[20:24] = struct.pack("<I", 2**32 - 1)
+    p.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="entry count 4294967295 does not fit"):
+        load_bank(p)
 
 
 def test_bank_load_rejects_zero_rank(tmp_path):

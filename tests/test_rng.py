@@ -172,6 +172,16 @@ def test_permutation_replays_next_u64_fisher_yates(n):
     assert gen._s == raw._s
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 499, 65_535])
+def test_scalar_uint64s_replay_next_u64(k):
+    gen = Xoshiro256StarStar(29)
+    raw = Xoshiro256StarStar(29)
+    words = gen.uint64s(k)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [raw.next_u64() for _ in range(k)]
+    assert gen._s == raw._s
+
+
 def test_shuffle_agrees_with_permutation():
     items = list("abcdefghij")
     Xoshiro256StarStar(4).shuffle(items)
