@@ -15,12 +15,11 @@ from .engine import (METHODS, BankEntry, ModuleBank, Prediction,
                      module_orthogonality, predict, predict_batch,
                      run_scenario, save_bank, train_session)
 from .heads import (PrototypeBank, SessionHead, build_prototypes, extend_head,
-                    head_forward, make_head, prototype_classify)
-from .luca import (LucaConfig, LucaGradients, LucaModule, adapter_forward,
-                   calibrator_forward, gradient_check, init_luca,
-                   l1_norm, layerwise_adapter_count, luca_forward,
+                    head_forward, make_head, prototype_classify_batch)
+from .luca import (LucaConfig, LucaGradients, LucaModule, gradient_check,
+                   init_luca, l1_norm, layerwise_adapter_count, luca_forward,
                    param_count, sparsity_ratio)
-from .numerics import activation, activation_grad, shannon_entropy, softmax
+from .numerics import activation, activation_grad, softmax_rows
 from .optim import (OptimConfig, cosine_lr, sgd_l1_step, soft_threshold,
                     train_epochs)
 from .report import emit_plot, emit_report, load_report
@@ -36,12 +35,11 @@ __all__ = [
     "feature_shift", "load_bank", "module_orthogonality", "predict",
     "predict_batch", "run_scenario", "save_bank", "train_session",
     "PrototypeBank", "SessionHead", "build_prototypes", "extend_head",
-    "head_forward", "make_head", "prototype_classify",
-    "LucaConfig", "LucaGradients", "LucaModule", "adapter_forward",
-    "calibrator_forward", "gradient_check", "init_luca", "l1_norm",
-    "layerwise_adapter_count", "luca_forward", "param_count",
-    "sparsity_ratio",
-    "activation", "activation_grad", "shannon_entropy", "softmax",
+    "head_forward", "make_head", "prototype_classify_batch",
+    "LucaConfig", "LucaGradients", "LucaModule", "gradient_check",
+    "init_luca", "l1_norm", "layerwise_adapter_count", "luca_forward",
+    "param_count", "sparsity_ratio",
+    "activation", "activation_grad", "softmax_rows",
     "OptimConfig", "cosine_lr", "sgd_l1_step", "soft_threshold",
     "train_epochs",
     "emit_plot", "emit_report", "load_report",

@@ -13,7 +13,7 @@ File layout (all little endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

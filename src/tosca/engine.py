@@ -43,6 +43,7 @@ from .heads import (SessionHead, build_prototypes, extend_head, head_forward,
                     head_forward_batch, make_head, prototype_classify_batch)
 from .luca import (LucaConfig, LucaModule, init_luca, luca_forward,
                    luca_forward_batch, param_count)
+from .numerics import softmax_rows
 from .optim import OptimConfig, train_epochs
 from .rng import Xoshiro256StarStar, derive_seeds
 
@@ -237,9 +238,7 @@ def route(Z, bank: ModuleBank, normalize_entropy: bool = True) -> Routing:
         logits = head_forward_batch(feats, e.head)
         if not np.isfinite(logits).all():
             raise ValueError("non-finite logits")
-        logits -= logits.max(axis=1, keepdims=True)
-        P = np.exp(logits)
-        P /= P.sum(axis=1, keepdims=True)
+        P = softmax_rows(logits)
         logP = np.log(np.where(P > 0.0, P, 1.0))
         entropies[i] = -(P * logP).sum(axis=1)
         ids = np.asarray(e.class_ids, dtype=np.int64)

@@ -1,4 +1,5 @@
-"""Linear classification heads and the prototype (nearest class mean) baseline."""
+"""Linear classification heads and the prototype (nearest class mean)
+baseline, both scored on arrays of rows (``head_forward`` takes one sample)."""
 
 from __future__ import annotations
 
@@ -122,17 +123,6 @@ def build_prototypes(features: np.ndarray, labels: np.ndarray,
         bank.means[c] = rows.sum(axis=0) / rows.shape[0]
         bank.counts[c] = int(rows.shape[0])
     return bank
-
-
-def prototype_classify(z, bank: PrototypeBank) -> int:
-    """Cosine-similarity argmax over class means; ties keep the lowest id.
-
-    A one-row call into ``prototype_classify_batch``.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (bank.d,):
-        raise ValueError("dimension mismatch")
-    return int(prototype_classify_batch(z[None, :], bank)[0])
 
 
 def prototype_classify_batch(Z: np.ndarray, bank: PrototypeBank) -> np.ndarray:

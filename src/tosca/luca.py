@@ -9,6 +9,9 @@ Shapes (z is a row vector of length d, r << d):
 
 The gate's ``+ 1`` residual is optional (``gate_residual``); the default is
 the plain multiplicative form.  There are no bias terms anywhere.
+
+``luca_forward_batch`` and ``luca_backward_batch`` are the passes;
+``luca_forward`` scores one sample as a one-row batch.
 """
 
 from __future__ import annotations
@@ -104,46 +107,23 @@ def init_luca(d: int, r: int, config: LucaConfig | None = None, rng_seed: int = 
                       config=config)
 
 
-def _check_input(z, m: LucaModule) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (m.d,):
-        raise ValueError("dimension mismatch")
-    return z
-
-
-def adapter_forward(z, m: LucaModule) -> np.ndarray:
-    """act_a(z W_down) W_up + z; one row through the batched formula."""
-    z = _check_input(z, m)
-    out, _ = _adapter_rows(z[None, :], m.w_down.astype(np.float64),
-                           m.w_up.astype(np.float64), m.config)
-    return out[0]
-
-
-def calibrator_forward(z, m: LucaModule) -> np.ndarray:
-    """z * gate, gate = act_g(z V_down) V_up (+ 1 when gate_residual); one
-    row through the batched formula."""
-    z = _check_input(z, m)
-    out, _ = _calibrator_rows(z[None, :], m.v_down.astype(np.float64),
-                              m.v_up.astype(np.float64), m.config)
-    return out[0]
-
-
 def luca_forward(z, m: LucaModule) -> np.ndarray:
     """Full module: calibrator(adapter(z)), or adapter(calibrator(z)) if reversed.
 
     One row through ``luca_forward_batch``, so a sample gives the same
     result whether it is scored alone or as a one-row batch.
     """
-    z = _check_input(z, m)
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (m.d,):
+        raise ValueError("dimension mismatch")
     return luca_forward_batch(z[None, :], m)[0]
 
 
 # ---------------------------------------------------------------------------
-# Batched path (numpy matmul), which the one-row forwards above also run.
-# Rows of Z are samples; gradients are summed over the batch, so pre-scaled
-# upstreams give batch means directly.  Each half of the module has one
-# forward and one gradient formula; the composition order only decides which
-# half runs first.
+# Batched path (numpy matmul), which ``luca_forward`` also runs.  Rows of Z
+# are samples; gradients are summed over the batch, so pre-scaled upstreams
+# give batch means directly.  Each half of the module has one forward and one
+# gradient formula; the composition order only decides which half runs first.
 
 def _adapter_rows(X, wd, wu, cfg: LucaConfig):
     # (out, (X, H, S)) for out = act_a(X W_down) W_up + X

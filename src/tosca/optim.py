@@ -18,6 +18,7 @@ import numpy as np
 from .data import FeatureDataset
 from .heads import SessionHead
 from .luca import LucaModule, l1_norm, luca_backward_batch, luca_forward_batch
+from .numerics import softmax_rows
 from .rng import Xoshiro256StarStar
 
 L1_MODES = ("subgradient", "proximal")
@@ -86,12 +87,9 @@ def _batch_loss_grads(module, head, Z, y_cols):
     """Mean cross-entropy over the batch plus the gradients that produce it."""
     B = Z.shape[0]
     feats, cache = luca_forward_batch(Z, module, return_cache=True)
-    logits = feats @ head.w.astype(np.float64)
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    P = expl / expl.sum(axis=1, keepdims=True)
+    P = softmax_rows(feats @ head.w.astype(np.float64))
     ce = float(-np.log(P[np.arange(B), y_cols] + 1e-300).sum())
-    dlogits = P.copy()
+    dlogits = P  # P minus the one-hot labels, built in place
     dlogits[np.arange(B), y_cols] -= 1.0
     dlogits /= B
     d_head = feats.T @ dlogits

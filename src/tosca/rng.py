@@ -243,7 +243,7 @@ class Xoshiro256StarStar:
         return out
 
     def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
+        return float(self.uniforms(1)[0])
 
     def uniforms(self, count: int) -> np.ndarray:
         u = self.uint64s(count)
@@ -296,7 +296,6 @@ class Xoshiro256StarStar:
         return np.array(idx, dtype=np.int64)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle of a list."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle of a list: reorders it by
+        ``permutation(len(items))``."""
+        items[:] = [items[k] for k in self.permutation(len(items))]

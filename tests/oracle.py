@@ -1,16 +1,21 @@
 """Reference implementations for the tests.
 
-* A per-sample backward pass: an exact-order, one-sample-at-a-time copy of
-  the module's gradients, built on ``numerics.vecmat`` and the ``matvec``
-  below rather than numpy matmul.  The package's only backward pass,
-  ``luca.luca_backward_batch``, is held to it.
+* Per-sample forward and backward passes: exact-order, one-sample-at-a-time
+  copies of the module's two halves and their gradients, built on
+  ``numerics.vecmat`` and the ``matvec`` below rather than numpy matmul.
+  The package's batched passes, ``luca.luca_forward_batch`` and
+  ``luca.luca_backward_batch``, are held to them.
+* ``softmax`` and ``shannon_entropy`` of one logits or probability vector,
+  which ``engine.route`` computes for every row at once.
 * ``fnv1a``: the byte-at-a-time 64-bit FNV-1a loop that ``engine.fnv1a``
   computes with numpy passes.
 """
 
+import math
+
 import numpy as np
 
-from tosca.luca import LucaGradients, LucaModule, adapter_forward, calibrator_forward
+from tosca.luca import LucaGradients, LucaModule
 from tosca.numerics import activation, activation_grad, vecmat
 
 FNV_OFFSET = 14695981039346656037
@@ -42,6 +47,36 @@ def matvec(m, v) -> np.ndarray:
             acc += row[j] * vv[j]
         out[i] = acc
     return np.array(out, dtype=np.float64)
+
+
+def softmax(v) -> np.ndarray:
+    """exp(v_k - max v) / sum_j exp(v_j - max v), the sum taken exactly."""
+    v = [float(x) for x in v]
+    top = max(v)
+    e = [math.exp(x - top) for x in v]
+    total = math.fsum(e)
+    return np.array([x / total for x in e], dtype=np.float64)
+
+
+def shannon_entropy(p) -> float:
+    """-sum p ln p in nats, with 0 ln 0 == 0."""
+    return -math.fsum(x * math.log(x) for x in map(float, p) if x > 0.0) + 0.0
+
+
+def adapter_forward(z, m: LucaModule) -> np.ndarray:
+    """act_a(z W_down) W_up + z for one sample."""
+    z = np.asarray(z, dtype=np.float64)
+    s = activation(m.config.adapter_act, vecmat(z, m.w_down))
+    return vecmat(s, m.w_up) + z
+
+
+def calibrator_forward(z, m: LucaModule) -> np.ndarray:
+    """z * gate, gate = act_g(z V_down) V_up (+ 1 when gate_residual)."""
+    z = np.asarray(z, dtype=np.float64)
+    gate = vecmat(activation(m.config.gate_act, vecmat(z, m.v_down)), m.v_up)
+    if m.config.gate_residual:
+        gate = gate + 1.0
+    return z * gate
 
 
 def _adapter_backward(z, m, upstream):

@@ -6,9 +6,14 @@ import pytest
 from tosca.data import synth_gaussian
 from tosca.heads import (PrototypeBank, SessionHead, build_prototypes,
                          extend_head, head_forward, head_forward_batch,
-                         make_head, prototype_classify,
-                         prototype_classify_batch)
+                         make_head, prototype_classify_batch)
 from tosca.rng import Xoshiro256StarStar
+
+
+def _classify_one(z, bank):
+    # one sample as a one-row batch
+    return int(prototype_classify_batch(np.array([z], dtype=np.float64),
+                                        bank)[0])
 
 
 def test_make_head_zero_init_and_ordering():
@@ -100,26 +105,28 @@ def test_prototype_input_validation():
         build_prototypes(np.zeros((2, 3)), np.zeros(3, dtype=int))
     bank = build_prototypes(np.array([[1.0, 0.0]]), np.array([4]))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        prototype_classify(np.zeros(3), bank)
+        prototype_classify_batch(np.zeros((1, 3)), bank)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        prototype_classify_batch(np.zeros(2), bank)
     with pytest.raises(ValueError, match="no samples"):
-        prototype_classify(np.ones(2), PrototypeBank(d=2))
+        prototype_classify_batch(np.ones((1, 2)), PrototypeBank(d=2))
     with pytest.raises(ValueError, match="degenerate vector"):
-        prototype_classify(np.zeros(2), bank)
+        prototype_classify_batch(np.zeros((1, 2)), bank)
     zero_mean = build_prototypes(np.array([[0.0, 0.0]]), np.array([1]))
     with pytest.raises(ValueError, match="degenerate vector"):
-        prototype_classify(np.ones(2), zero_mean)
+        prototype_classify_batch(np.ones((1, 2)), zero_mean)
 
 
 def test_prototype_cosine_scoring():
     bank = build_prototypes(np.array([[1.0, 0.0], [0.0, 1.0]]),
                             np.array([0, 1]))
-    assert prototype_classify([0.9, 0.1], bank) == 0
-    assert prototype_classify([0.1, 0.9], bank) == 1
-    # equidistant: strict > keeps the lowest id
-    assert prototype_classify([1.0, 1.0], bank) == 0
+    assert _classify_one([0.9, 0.1], bank) == 0
+    assert _classify_one([0.1, 0.9], bank) == 1
+    # equidistant: the first maximum keeps the lowest id
+    assert _classify_one([1.0, 1.0], bank) == 0
     # cosine is scale invariant
-    assert prototype_classify([0.009, 0.001], bank) == 0
-    assert prototype_classify([900.0, 100.0], bank) == 0
+    assert _classify_one([0.009, 0.001], bank) == 0
+    assert _classify_one([900.0, 100.0], bank) == 0
 
 
 def test_prototype_batch_matches_single():
@@ -129,7 +136,7 @@ def test_prototype_batch_matches_single():
     bank = build_prototypes(feats, labels)
     Z = gen.normals(30).reshape(10, 3) + 2.0
     batch = prototype_classify_batch(Z, bank)
-    singles = [prototype_classify(Z[i], bank) for i in range(10)]
+    singles = [_classify_one(Z[i], bank) for i in range(10)]
     assert batch.tolist() == singles
 
 

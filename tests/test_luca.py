@@ -11,9 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracle import luca_backward
-from tosca.luca import (LucaConfig, LucaModule, adapter_forward,
-                        calibrator_forward, gradient_check, init_luca,
+from oracle import adapter_forward, calibrator_forward, luca_backward
+from tosca.luca import (LucaConfig, LucaModule, gradient_check, init_luca,
                         l1_norm, layerwise_adapter_count, luca_backward_batch,
                         luca_forward, luca_forward_batch, param_count,
                         sparsity_ratio)
@@ -34,14 +33,20 @@ def _worked_module(**cfg_kw):
 
 
 def test_adapter_worked_example():
-    # z=[1,2]: bottleneck = relu(1) = 1, up = [1,1], plus skip -> [2,3]
-    m = _worked_module()
+    # z=[1,2]: bottleneck = relu(1) = 1, up = [1,1], plus skip -> [2,3];
+    # V_up = 0 with the residual gate makes the calibrator the identity
+    m = _worked_module(gate_residual=True)
+    m.v_up[:] = 0.0
+    assert luca_forward([1.0, 2.0], m).tolist() == [2.0, 3.0]
     assert adapter_forward([1.0, 2.0], m).tolist() == [2.0, 3.0]
 
 
 def test_calibrator_worked_example():
-    # gate = relu(1+2) [0.5,0.5] = [1.5,1.5]; z * gate = [1.5, 3.0]
+    # gate = relu(1+2) [0.5,0.5] = [1.5,1.5]; z * gate = [1.5, 3.0];
+    # W_up = 0 makes the adapter the identity
     m = _worked_module()
+    m.w_up[:] = 0.0
+    assert luca_forward([1.0, 2.0], m).tolist() == [1.5, 3.0]
     assert calibrator_forward([1.0, 2.0], m).tolist() == [1.5, 3.0]
 
 
@@ -54,7 +59,9 @@ def test_full_module_composes_the_two():
 
 
 def test_reversed_order_swaps_composition():
+    # adapter(calibrator([1,2])) = adapter([1.5,3]) = [1.5,1.5] + [1.5,3]
     m = _worked_module(reversed=True)
+    assert luca_forward([1.0, 2.0], m).tolist() == [3.0, 4.5]
     want = adapter_forward(calibrator_forward([1.0, 2.0], m), m)
     assert np.array_equal(luca_forward([1.0, 2.0], m), want)
 
@@ -87,9 +94,13 @@ def test_zero_gate_without_residual_kills_output():
 
 
 def test_adapter_identity_when_up_is_zero():
+    # W_up is zero at init: the output cannot depend on W_down
     m = init_luca(8, 2, rng_seed=5)
+    other = replace(m, w_down=init_luca(8, 2, rng_seed=6).w_down)
     z = Xoshiro256StarStar(6).normals(8)
-    assert np.array_equal(adapter_forward(z, m), z)
+    assert np.array_equal(luca_forward(z, m), luca_forward(z, other))
+    assert np.allclose(luca_forward(z, m), calibrator_forward(z, m),
+                       rtol=1e-12, atol=1e-15)
 
 
 def test_input_validation():
@@ -310,6 +321,12 @@ def test_batch_forward_matches_single():
         for i in range(5):
             single = luca_forward(Z[i], m)
             assert np.allclose(batch[i], single, rtol=1e-12, atol=1e-12)
+            # against the exact-order per-sample halves in tests/oracle.py
+            if rev:
+                want = adapter_forward(calibrator_forward(Z[i], m), m)
+            else:
+                want = calibrator_forward(adapter_forward(Z[i], m), m)
+            assert np.allclose(batch[i], want, rtol=1e-12, atol=1e-12)
 
 
 def test_batch_backward_sums_per_sample_grads():

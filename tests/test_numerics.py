@@ -1,4 +1,5 @@
-"""Activation, softmax, entropy, and exact-order linear algebra tests.
+"""Activation, row softmax, reference entropy, and exact-order linear
+algebra tests.
 
 Closed-form values below were frozen from a 40-digit mpmath evaluation of the
 defining formulas (erf-based gelu, logistic sigmoid, Shannon entropy in nats).
@@ -9,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from oracle import matvec
+from oracle import matvec, shannon_entropy, softmax
 from tosca.numerics import (ACTIVATIONS, activation, activation_grad,
-                            shannon_entropy, softmax, vecmat)
+                            softmax_rows, vecmat)
 
 # 0.5 * x * (1 + erf(x / sqrt(2))), 40-digit evaluation, rounded to f64
 _GELU_TABLE = {
@@ -65,40 +66,42 @@ def test_relu_grad_at_zero_is_zero():
 
 
 def test_softmax_known_values():
-    p = softmax(np.array([1.0, 2.0, 3.0]))
+    p = softmax_rows(np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]))
     want = [0.09003057317038045799802, 0.244728471054797652473,
             0.665240955774821889529]
-    assert np.allclose(p, want, rtol=1e-15)
-    assert np.array_equal(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
+    assert np.allclose(p[0], want, rtol=1e-15)
+    assert np.allclose(p[1], [want[2], want[0], want[1]], rtol=1e-15)
+    assert np.array_equal(softmax_rows(np.zeros((2, 2))), np.full((2, 2), 0.5))
+    assert np.array_equal(softmax_rows(np.array([[7.0]])), [[1.0]])
 
 
 def test_softmax_shift_invariance_and_overflow_safety():
-    z = np.array([1.0, -2.0, 0.5, 3.0])
-    assert np.allclose(softmax(z), softmax(z + 1234.5), rtol=1e-12)
-    big = softmax(np.array([1000.0, 0.0]))
+    z = np.array([[1.0, -2.0, 0.5, 3.0]])
+    assert np.allclose(softmax_rows(z), softmax_rows(z + 1234.5), rtol=1e-12)
+    # each row is shifted by its own maximum
+    both = softmax_rows(np.concatenate([z, z + 1234.5]))
+    assert np.allclose(both[0], both[1], rtol=1e-12)
+    big = softmax_rows(np.array([[1000.0, 0.0], [0.0, -1000.0]]))
     assert np.isfinite(big).all()
-    assert float(big[0]) == 1.0
-
-
-def test_softmax_rejects_bad_input():
-    with pytest.raises(ValueError, match="empty logits"):
-        softmax(np.array([]))
-    with pytest.raises(ValueError, match="non-finite logits"):
-        softmax(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError, match="non-finite logits"):
-        softmax(np.array([np.inf, 0.0]))
+    assert big[:, 0].tolist() == [1.0, 1.0]
 
 
 def test_softmax_is_distribution():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        z = rng.normal(scale=rng.uniform(0.1, 50), size=rng.integers(1, 9))
-        p = softmax(z)
+        z = rng.normal(scale=rng.uniform(0.1, 50),
+                       size=(rng.integers(1, 6), rng.integers(1, 9)))
+        p = softmax_rows(z)
+        assert p.shape == z.shape
         assert p.min() >= 0.0
-        assert float(p.sum()) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        # row by row, the one-vector reference in tests/oracle.py
+        for row, want in zip(p, z):
+            np.testing.assert_allclose(row, softmax(want), rtol=0, atol=1e-15)
 
 
 def test_entropy_known_values():
+    # the reference entropy that routing is held to in tests/test_engine.py
     assert shannon_entropy(np.array([1.0, 0.0, 0.0])) == 0.0
     u5 = shannon_entropy(np.full(5, 0.2))
     assert u5 == pytest.approx(1.609437912434100374601, rel=1e-15)
@@ -113,15 +116,6 @@ def test_entropy_bounds_over_random_distributions():
         p = softmax(rng.normal(size=k))
         h = shannon_entropy(p)
         assert 0.0 <= h <= math.log(k) + 1e-12
-
-
-def test_entropy_rejects_bad_input():
-    with pytest.raises(ValueError, match="empty distribution"):
-        shannon_entropy(np.array([]))
-    with pytest.raises(ValueError, match="not a probability vector"):
-        shannon_entropy(np.array([0.3, 0.3]))
-    with pytest.raises(ValueError, match="not a probability vector"):
-        shannon_entropy(np.array([-0.1, 1.1]))
 
 
 def test_matvec_vecmat_definitions():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import tosca.optim as optim
+from oracle import softmax
 from tosca.data import FeatureDataset, synth_gaussian
 from tosca.heads import head_forward, make_head
 from tosca.luca import init_luca, luca_forward, sparsity_ratio
-from tosca.numerics import softmax
 from tosca.optim import (OptimConfig, cosine_lr, sgd_l1_step, soft_threshold,
                          train_epochs)
 from tosca.rng import Xoshiro256StarStar
