@@ -52,9 +52,9 @@ class FeatureDataset:
 
     def subset(self, class_ids) -> "FeatureDataset":
         """Rows whose label is in ``class_ids``, original order preserved."""
-        wanted = set(int(c) for c in class_ids)
-        mask = np.fromiter((int(c) in wanted for c in self.labels),
-                           dtype=bool, count=self.n)
+        # an id outside uint32 matches no label
+        wanted = [c for c in map(int, class_ids) if 0 <= c <= 0xFFFFFFFF]
+        mask = np.isin(self.labels, np.array(wanted, dtype=np.uint32))
         return FeatureDataset(name=self.name, features=self.features[mask],
                               labels=self.labels[mask])
 

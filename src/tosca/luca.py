@@ -11,7 +11,12 @@ The gate's ``+ 1`` residual is optional (``gate_residual``); the default is
 the plain multiplicative form.  There are no bias terms anywhere.
 
 ``luca_forward_batch`` and ``luca_backward_batch`` are the passes;
-``luca_forward`` scores one sample as a one-row batch.
+``luca_forward`` scores one sample as a one-row batch.  A training forward
+(``return_cache=True``) keeps, beside each half's pre-activation, what its
+activation derivative shares with the forward: gelu's Phi, the sigmoid's
+output.  The backward hands that to ``activation_grad``, so a training step
+evaluates each ``erf`` and sigmoid once.  Both passes read float64 matrices
+in place and upcast float32 ones.
 """
 
 from __future__ import annotations
@@ -125,59 +130,70 @@ def luca_forward(z, m: LucaModule) -> np.ndarray:
 # give batch means directly.  Each half of the module has one forward and one
 # gradient formula; the composition order only decides which half runs first.
 
-def _adapter_rows(X, wd, wu, cfg: LucaConfig):
-    # (out, (X, H, S)) for out = act_a(X W_down) W_up + X
+def _adapter_rows(X, wd, wu, cfg: LucaConfig, keep: bool):
+    # (out, cache) for out = act_a(X W_down) W_up + X; with ``keep`` the
+    # cache is (X, H, S, Sc), Sc being activation's cache for H, else None
     H = X @ wd
-    S = activation(cfg.adapter_act, H)
-    return S @ wu + X, (X, H, S)
+    if keep:
+        S, Sc = activation(cfg.adapter_act, H, return_cache=True)
+    else:
+        S = activation(cfg.adapter_act, H)
+    return S @ wu + X, ((X, H, S, Sc) if keep else None)
 
 
-def _calibrator_rows(X, vd, vu, cfg: LucaConfig):
-    # (out, (X, Q, T, G)) for out = X * G, G = act_g(X V_down) V_up (+ 1)
+def _calibrator_rows(X, vd, vu, cfg: LucaConfig, keep: bool):
+    # (out, cache) for out = X * G, G = act_g(X V_down) V_up (+ 1); with
+    # ``keep`` the cache is (X, Q, T, G, Tc), Tc being activation's cache for Q
     Q = X @ vd
-    T = activation(cfg.gate_act, Q)
+    if keep:
+        T, Tc = activation(cfg.gate_act, Q, return_cache=True)
+    else:
+        T = activation(cfg.gate_act, Q)
     G = T @ vu
     if cfg.gate_residual:
         G = G + 1.0
-    return X * G, (X, Q, T, G)
+    return X * G, ((X, Q, T, G, Tc) if keep else None)
 
 
 def _adapter_grads(cache, wd, wu, cfg: LucaConfig, dOut):
     # (dW_down, dW_up, dX) given _adapter_rows' cache and upstream dOut
-    X, H, S = cache
-    dH = (dOut @ wu.T) * activation_grad(cfg.adapter_act, H)
+    X, H, S, Sc = cache
+    dH = (dOut @ wu.T) * activation_grad(cfg.adapter_act, H, Sc)
     return X.T @ dH, S.T @ dOut, dOut + dH @ wd.T
 
 
 def _calibrator_grads(cache, vd, vu, cfg: LucaConfig, dOut):
     # (dV_down, dV_up, dX) given _calibrator_rows' cache and upstream dOut
-    X, Q, T, G = cache
+    X, Q, T, G, Tc = cache
     dG = dOut * X
-    dQ = (dG @ vu.T) * activation_grad(cfg.gate_act, Q)
+    dQ = (dG @ vu.T) * activation_grad(cfg.gate_act, Q, Tc)
     return X.T @ dQ, T.T @ dG, dOut * G + dQ @ vd.T
+
+
+def _f64_matrices(m: LucaModule):
+    # (W_down, W_up, V_down, V_up) as float64; float64 matrices are not copied
+    return tuple(np.asarray(a, dtype=np.float64) for a in m.matrices())
 
 
 def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False):
     """Module output for every row of Z.
 
     With ``return_cache`` it also returns the pair that
-    ``luca_backward_batch`` takes: the adapter's ``(X, H, S)`` and the
-    calibrator's ``(X, Q, T, G)``, i.e. each half's input rows,
-    pre-activation, activation and (calibrator only) gate, whichever half
-    runs first.
+    ``luca_backward_batch`` takes: the adapter's ``(X, H, S, Sc)`` and the
+    calibrator's ``(X, Q, T, G, Tc)``, i.e. each half's input rows,
+    pre-activation, activation, (calibrator only) gate, and the activation
+    cache that ``activation_grad`` reuses (gelu's Phi(H), the sigmoid's
+    output, None for relu), whichever half runs first.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    wd = m.w_down.astype(np.float64)
-    wu = m.w_up.astype(np.float64)
-    vd = m.v_down.astype(np.float64)
-    vu = m.v_up.astype(np.float64)
+    wd, wu, vd, vu = _f64_matrices(m)
     cfg = m.config
     if cfg.reversed:
-        C, calibrator_cache = _calibrator_rows(Z, vd, vu, cfg)
-        out, adapter_cache = _adapter_rows(C, wd, wu, cfg)
+        C, calibrator_cache = _calibrator_rows(Z, vd, vu, cfg, return_cache)
+        out, adapter_cache = _adapter_rows(C, wd, wu, cfg, return_cache)
     else:
-        A, adapter_cache = _adapter_rows(Z, wd, wu, cfg)
-        out, calibrator_cache = _calibrator_rows(A, vd, vu, cfg)
+        A, adapter_cache = _adapter_rows(Z, wd, wu, cfg, return_cache)
+        out, calibrator_cache = _calibrator_rows(A, vd, vu, cfg, return_cache)
     if return_cache:
         return out, (adapter_cache, calibrator_cache)
     return out
@@ -186,10 +202,7 @@ def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False)
 def luca_backward_batch(m: LucaModule, cache, U: np.ndarray) -> LucaGradients:
     """Batch-summed gradients of sum(U * luca_forward_batch(Z)) given the
     forward's cache; ``d_input`` keeps one row per sample."""
-    wd = m.w_down.astype(np.float64)
-    wu = m.w_up.astype(np.float64)
-    vd = m.v_down.astype(np.float64)
-    vu = m.v_up.astype(np.float64)
+    wd, wu, vd, vu = _f64_matrices(m)
     cfg = m.config
     U = np.asarray(U, dtype=np.float64)
     adapter_cache, calibrator_cache = cache
@@ -275,7 +288,7 @@ def _sample_away_from_kinks(gen, m, margin: float = 1e-6, attempts: int = 200):
     for _ in range(attempts):
         Z = gen.normals(_CHECK_ROWS * m.d).reshape(_CHECK_ROWS, m.d)
         _, cache = luca_forward_batch(Z, m, return_cache=True)
-        (_, H, _), (_, Q, _, _) = cache
+        (_, H, _, _), (_, Q, _, _, _) = cache
         bad = False
         if m.config.adapter_act == "relu" and np.abs(H).min() < margin:
             bad = True

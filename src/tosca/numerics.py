@@ -7,6 +7,14 @@ fixes the exact accumulation order (ascending index); no pass in the package
 calls it.  It is kept for the benchmark tracer's ``numerics.vecmat`` seam and
 for the per-sample reference forwards and backward in the tests, which the
 batched passes are held to.
+
+``activation(kind, x, return_cache=True)`` also returns the one value the
+derivative shares with the forward: Phi(x) for gelu, sigma(x) for the
+sigmoid (the output itself), and None for relu.  ``activation_grad`` takes
+it back as ``cache`` and then evaluates no ``erf`` or sigmoid: gelu's
+derivative is ``cdf + x * pdf`` and the sigmoid's ``T * (1 - T)``.  Without a
+cache it computes the same value with the same operations, so both routes
+give the same bits.
 """
 
 from __future__ import annotations
@@ -21,34 +29,51 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows, so both branches are safe to evaluate
+    # exp(-|x|) never overflows; one division serves both signs of x
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def activation(kind: str, x) -> np.ndarray:
-    """Elementwise nonlinearity; gelu uses the exact erf form x*Phi(x)."""
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    # Phi(x), the standard normal CDF
+    return 0.5 * (1.0 + erf(x / _SQRT2))
+
+
+def activation(kind: str, x, return_cache: bool = False):
+    """Elementwise nonlinearity; gelu uses the exact erf form x*Phi(x).
+
+    With ``return_cache`` it returns ``(out, cache)``, where ``cache`` is
+    what ``activation_grad`` reuses: Phi(x) for gelu, ``out`` itself for the
+    sigmoid, None for relu.
+    """
     x = np.asarray(x, dtype=np.float64)
     if kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind == "gelu":
-        return x * 0.5 * (1.0 + erf(x / _SQRT2))
-    if kind == "sigmoid":
-        return _stable_sigmoid(x)
-    raise ValueError(f"unknown activation {kind!r}")
+        out, cache = np.maximum(x, 0.0), None
+    elif kind == "gelu":
+        cache = _gelu_cdf(x)
+        out = x * cache
+    elif kind == "sigmoid":
+        out = cache = _stable_sigmoid(x)
+    else:
+        raise ValueError(f"unknown activation {kind!r}")
+    return (out, cache) if return_cache else out
 
 
-def activation_grad(kind: str, x) -> np.ndarray:
-    """Derivative of ``activation`` (relu subgradient at 0 is 0)."""
+def activation_grad(kind: str, x, cache=None) -> np.ndarray:
+    """Derivative of ``activation`` at x (relu subgradient at 0 is 0).
+
+    ``cache`` is the value ``activation(kind, x, return_cache=True)``
+    returned for the same x; without it, the shared value is recomputed.
+    """
     x = np.asarray(x, dtype=np.float64)
     if kind == "relu":
         return np.where(x > 0, 1.0, 0.0)
     if kind == "gelu":
-        cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+        cdf = _gelu_cdf(x) if cache is None else cache
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
         return cdf + x * pdf
     if kind == "sigmoid":
-        s = _stable_sigmoid(x)
+        s = _stable_sigmoid(x) if cache is None else cache
         return s * (1.0 - s)
     raise ValueError(f"unknown activation {kind!r}")
 

@@ -1,8 +1,13 @@
 """SGD with cosine-annealed learning rate and L1 shrinkage on module weights.
 
-Parameters live in float32 but every update runs in float64: upcast, step,
-downcast.  The L1 term touches only the module's four matrices, never the
-head.  Two L1 modes:
+Parameters live in float32 but every update runs in float64.
+``train_epochs`` builds one float64 working copy of each of the module's four
+matrices and of the head when it starts, and the forward, backward and step
+read those.  After each step it writes the float32 weights from the float64
+result and refreshes the copy from them, so the next step sees exactly
+f64(f32(new)): the same values, and the same bits, as an upcast of the
+float32 weights at every step, without the per-step copies.  The L1 term
+touches only the module's four matrices, never the head.  Two L1 modes:
 
   subgradient   theta <- theta - lr * (g + lam * sign(theta)), sign(0) = 0
   proximal      theta <- soft_threshold(theta - lr * g, lr * lam)
@@ -11,7 +16,7 @@ head.  Two L1 modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,17 +88,18 @@ def sgd_l1_step(theta: np.ndarray, grad: np.ndarray, lr: float, lam: float,
     return soft_threshold(theta - lr * grad, lr * lam)
 
 
-def _batch_loss_grads(module, head, Z, y_cols):
-    """Mean cross-entropy over the batch plus the gradients that produce it."""
+def _batch_loss_grads(module, head_w, Z, y_cols):
+    """Mean cross-entropy over the batch plus the gradients that produce it,
+    for float64 module matrices and head weights ``head_w``."""
     B = Z.shape[0]
     feats, cache = luca_forward_batch(Z, module, return_cache=True)
-    P = softmax_rows(feats @ head.w.astype(np.float64))
+    P = softmax_rows(feats @ head_w)
     ce = float(-np.log(P[np.arange(B), y_cols] + 1e-300).sum())
     dlogits = P  # P minus the one-hot labels, built in place
     dlogits[np.arange(B), y_cols] -= 1.0
     dlogits /= B
     d_head = feats.T @ dlogits
-    d_feats = dlogits @ head.w.astype(np.float64).T
+    d_feats = dlogits @ head_w.T
     grads = luca_backward_batch(module, cache, d_feats)
     return ce, d_head, grads
 
@@ -127,6 +133,10 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
     total_steps = batches * cfg.epochs
 
     mats = ["w_down", "w_up", "v_down", "v_up"]
+    # float64 working copies, refreshed from the float32 weights every step
+    work = replace(module, **{name: getattr(module, name).astype(np.float64)
+                              for name in mats})
+    head_w = head.w.astype(np.float64)
     vel = {name: np.zeros_like(getattr(module, name), dtype=np.float64)
            for name in mats} if cfg.momentum > 0.0 else None
     vel_head = (np.zeros_like(head.w, dtype=np.float64)
@@ -140,22 +150,23 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
         for b in range(batches):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             lr = cosine_lr(step, total_steps, cfg)
-            ce, d_head, grads = _batch_loss_grads(module, head, Z[idx], y_cols[idx])
+            ce, d_head, grads = _batch_loss_grads(work, head_w, Z[idx],
+                                                  y_cols[idx])
             epoch_ce += ce
             for name in mats:
                 g = getattr(grads, name)
                 if vel is not None:
                     vel[name] = cfg.momentum * vel[name] + g
                     g = vel[name]
-                cur = getattr(module, name)
-                new = sgd_l1_step(cur, g, lr, cfg.lambda_l1, cfg.l1_mode)
-                cur[...] = new.astype(cur.dtype)
+                cur, w = getattr(module, name), getattr(work, name)
+                cur[...] = sgd_l1_step(w, g, lr, cfg.lambda_l1, cfg.l1_mode)
+                w[...] = cur
             g = d_head
             if vel_head is not None:
                 vel_head[...] = cfg.momentum * vel_head + g
                 g = vel_head
-            new_w = head.w.astype(np.float64) - lr * g
-            head.w[...] = new_w.astype(head.w.dtype)
+            head.w[...] = head_w - lr * g
+            head_w[...] = head.w
             step += 1
         loss = epoch_ce / n + cfg.lambda_l1 * l1_norm(module)
         if not math.isfinite(loss):

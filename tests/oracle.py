@@ -9,14 +9,21 @@
   which ``engine.route`` computes for every row at once.
 * ``fnv1a``: the byte-at-a-time 64-bit FNV-1a loop that ``engine.fnv1a``
   computes with numpy passes.
+* ``train_epochs_reference``: the training loop with a float32 round trip
+  at every step.  Each step upcasts the module and the head, runs a batched
+  forward and a backward that evaluates every activation derivative afresh,
+  makes one ``sgd_l1_step`` call per matrix and casts each result back with
+  ``astype``.  ``optim.train_epochs`` keeps float64 working copies and
+  reuses the forward's activation values, and must give the same bits.
 """
 
 import math
 
 import numpy as np
 
-from tosca.luca import LucaGradients, LucaModule
-from tosca.numerics import activation, activation_grad, vecmat
+from tosca.luca import LucaGradients, LucaModule, l1_norm
+from tosca.numerics import activation, activation_grad, softmax_rows, vecmat
+from tosca.optim import cosine_lr, sgd_l1_step
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -124,3 +131,102 @@ def luca_backward(z, m: LucaModule, upstream) -> LucaGradients:
         d_wdown, d_wup, dz = _adapter_backward(z, m, da)
     return LucaGradients(w_down=d_wdown, w_up=d_wup, v_down=d_vdown, v_up=d_vup,
                          d_input=dz)
+
+
+def _loss_grads_reference(m: LucaModule, head_w32, Z, y_cols):
+    # mean-CE batch loss and gradients, every weight upcast where it is read
+    wd, wu, vd, vu = (a.astype(np.float64) for a in m.matrices())
+    cfg = m.config
+
+    def adapter(X):
+        H = X @ wd
+        S = activation(cfg.adapter_act, H)
+        return S @ wu + X, (X, H, S)
+
+    def calibrator(X):
+        Q = X @ vd
+        T = activation(cfg.gate_act, Q)
+        G = T @ vu
+        if cfg.gate_residual:
+            G = G + 1.0
+        return X * G, (X, Q, T, G)
+
+    if cfg.reversed:
+        C, c_cache = calibrator(Z)
+        feats, a_cache = adapter(C)
+    else:
+        A, a_cache = adapter(Z)
+        feats, c_cache = calibrator(A)
+    B = Z.shape[0]
+    P = softmax_rows(feats @ head_w32.astype(np.float64))
+    ce = float(-np.log(P[np.arange(B), y_cols] + 1e-300).sum())
+    dlogits = P
+    dlogits[np.arange(B), y_cols] -= 1.0
+    dlogits /= B
+    d_head = feats.T @ dlogits
+    U = dlogits @ head_w32.astype(np.float64).T
+
+    def adapter_grads(dOut):
+        X, H, S = a_cache
+        dH = (dOut @ wu.T) * activation_grad(cfg.adapter_act, H)
+        return X.T @ dH, S.T @ dOut, dOut + dH @ wd.T
+
+    def calibrator_grads(dOut):
+        X, Q, T, G = c_cache
+        dG = dOut * X
+        dQ = (dG @ vu.T) * activation_grad(cfg.gate_act, Q)
+        return X.T @ dQ, T.T @ dG, dOut * G + dQ @ vd.T
+
+    if cfg.reversed:
+        d_wdown, d_wup, dC = adapter_grads(U)
+        d_vdown, d_vup, _ = calibrator_grads(dC)
+    else:
+        d_vdown, d_vup, dA = calibrator_grads(U)
+        d_wdown, d_wup, _ = adapter_grads(dA)
+    grads = {"w_down": d_wdown, "w_up": d_wup, "v_down": d_vdown,
+             "v_up": d_vup}
+    return ce, d_head, grads
+
+
+def train_epochs_reference(module: LucaModule, head, data, cfg, rng):
+    """``optim.train_epochs`` with an upcast, step and downcast at every
+    step; trains ``module`` and ``head`` in place and returns the loss trace."""
+    Z = np.asarray(data.features, dtype=np.float64)
+    col = {c: j for j, c in enumerate(head.class_ids)}
+    y_cols = np.asarray([col[int(c)] for c in data.labels], dtype=np.int64)
+    n = Z.shape[0]
+    batches = (n + cfg.batch_size - 1) // cfg.batch_size
+    total_steps = batches * cfg.epochs
+    mats = ["w_down", "w_up", "v_down", "v_up"]
+    vel = {name: np.zeros_like(getattr(module, name), dtype=np.float64)
+           for name in mats} if cfg.momentum > 0.0 else None
+    vel_head = (np.zeros_like(head.w, dtype=np.float64)
+                if cfg.momentum > 0.0 else None)
+    step = 0
+    trace = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_ce = 0.0
+        for b in range(batches):
+            idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            lr = cosine_lr(step, total_steps, cfg)
+            ce, d_head, grads = _loss_grads_reference(module, head.w, Z[idx],
+                                                      y_cols[idx])
+            epoch_ce += ce
+            for name in mats:
+                g = grads[name]
+                if vel is not None:
+                    vel[name] = cfg.momentum * vel[name] + g
+                    g = vel[name]
+                cur = getattr(module, name)
+                new = sgd_l1_step(cur, g, lr, cfg.lambda_l1, cfg.l1_mode)
+                cur[...] = new.astype(cur.dtype)
+            g = d_head
+            if vel_head is not None:
+                vel_head[...] = cfg.momentum * vel_head + g
+                g = vel_head
+            new_w = head.w.astype(np.float64) - lr * g
+            head.w[...] = new_w.astype(head.w.dtype)
+            step += 1
+        trace.append(epoch_ce / n + cfg.lambda_l1 * l1_norm(module))
+    return trace

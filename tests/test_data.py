@@ -142,6 +142,32 @@ def test_subset_filters_and_preserves_order():
     assert ds.subset((9,)).n == 0
 
 
+def test_subset_matches_a_per_row_reference():
+    rng = np.random.default_rng(5)
+    present = np.array([0, 7, 2**31 - 1, 2**31, 2**31 + 5, 2**32 - 1],
+                       dtype=np.uint32)
+    labels = rng.choice(present, size=400)
+    ds = FeatureDataset(name="x",
+                        features=rng.normal(size=(400, 3)).astype(np.float32),
+                        labels=labels)
+    all_ids = [int(c) for c in present]
+    requests = [[], [7], [2**31], all_ids, all_ids[::-1],
+                [2**31 + 5, 3, 2**31 + 6, 2**32 - 1],  # 3 and 2^31+6 absent
+                [-1, 2**32, 2**64, 0],  # outside uint32: only 0 matches
+                (np.uint32(2**31 - 1), 7.0)]
+    for _ in range(20):
+        requests.append(rng.choice(present, size=rng.integers(1, 5)).tolist())
+    for ids in requests:
+        wanted = set(int(c) for c in ids)
+        rows = [i for i, c in enumerate(labels.tolist()) if c in wanted]
+        sub = ds.subset(ids)
+        assert sub.labels.dtype == np.uint32
+        assert np.array_equal(sub.labels, labels[rows])
+        assert np.array_equal(sub.features, ds.features[rows])
+    assert ds.subset(iter(all_ids)) == ds
+    assert ds.subset([]).n == 0 and ds.subset([]).d == 3
+
+
 def test_dataset_equality_ignores_name():
     f = np.ones((2, 3), dtype=np.float32)
     y = np.array([1, 2], dtype=np.uint32)

@@ -275,7 +275,7 @@ def test_batch_backward_matches_finite_differences(adapter_act, gate_act,
         Z = gen.normals(B * d).reshape(B, d)
         _, cache = luca_forward_batch(Z, m, return_cache=True)
         # adapter and gate pre-activations, H and Q, must sit off relu kinks
-        (_, H, _), (_, Q, _, _) = cache
+        (_, H, _, _), (_, Q, _, _, _) = cache
         if min(np.abs(H).min(), np.abs(Q).min()) >= 1e-3:
             break
     U = gen.normals(B * d).reshape(B, d)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from oracle import matvec, shannon_entropy, softmax
 from tosca.numerics import (ACTIVATIONS, activation, activation_grad,
@@ -59,6 +60,52 @@ def test_activation_grads_match_finite_differences():
         num = (activation(kind, pts + h) - activation(kind, pts - h)) / (2 * h)
         ana = activation_grad(kind, pts)
         assert np.allclose(ana, num, rtol=1e-6, atol=1e-8)
+
+
+def _bitwise_grid() -> np.ndarray:
+    # about 300k float64 values, each with both signs: log-spaced magnitudes
+    # over the whole finite range (5e-324 to 1.8e308), +-0 and the first
+    # subnormals at the relu kink, and dense runs around the sigmoid's
+    # saturation edges (|x| ~ 36.7: 1 + exp(-|x|) rounds to 1; 709.8: exp
+    # overflows; 745.1: exp(-|x|) underflows to 0)
+    top = np.finfo(np.float64).max  # 1.797e308
+    logs = np.linspace(np.log10(5e-324), np.log10(top), 100_001)
+    mags = [np.concatenate([[5e-324], 10.0 ** logs[1:-1], [top]])]
+    for edge in (36.7, 709.8, 745.1):
+        mags.append(np.linspace(edge - 0.5, edge + 0.5, 16_001))
+    mags.append(np.nextafter(0.0, 1.0) * np.arange(1, 1_001))
+    mags = np.concatenate(mags)
+    return np.concatenate([mags, -mags, [0.0, -0.0]])
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_activations_are_bit_identical_to_their_defining_formulas():
+    # written out here as the package first had them; the forward's cache
+    # must give the same derivative bits as a fresh evaluation
+    x = _bitwise_grid()
+    assert x.size > 290_000
+    with np.errstate(all="ignore"):
+        e = np.exp(-np.abs(x))
+        s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+        want = {
+            "relu": (np.maximum(x, 0.0), np.where(x > 0, 1.0, 0.0)),
+            "gelu": (x * 0.5 * (1.0 + erf(x / np.sqrt(2.0))), cdf + x * pdf),
+            "sigmoid": (s, s * (1.0 - s)),
+        }
+        for kind in ACTIVATIONS:
+            want_out, want_grad = want[kind]
+            out, cache = activation(kind, x, return_cache=True)
+            assert np.array_equal(_bits(activation(kind, x)), _bits(want_out))
+            assert np.array_equal(_bits(out), _bits(want_out))
+            assert np.array_equal(_bits(activation_grad(kind, x)),
+                                  _bits(want_grad))
+            assert np.array_equal(_bits(activation_grad(kind, x, cache)),
+                                  _bits(want_grad))
 
 
 def test_relu_grad_at_zero_is_zero():

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import tosca.luca
+import tosca.numerics
 import tosca.optim as optim
-from oracle import softmax
+from oracle import softmax, train_epochs_reference
 from tosca.data import FeatureDataset, synth_gaussian
 from tosca.heads import head_forward, make_head
-from tosca.luca import init_luca, luca_forward, sparsity_ratio
+from tosca.luca import LucaConfig, init_luca, luca_forward, sparsity_ratio
+from tosca.numerics import ACTIVATIONS
 from tosca.optim import (OptimConfig, cosine_lr, sgd_l1_step, soft_threshold,
                          train_epochs)
 from tosca.rng import Xoshiro256StarStar
@@ -276,3 +279,75 @@ def test_divergence_stops_in_the_epoch_it_happens():
         with np.errstate(all="ignore"):
             train_epochs(module, head, train, cfg, rng)
     assert rng.shuffles == 1
+
+
+_PAIRS = [(a, g) for a in ACTIVATIONS for g in ACTIVATIONS]
+_STEP_RULES = {
+    "subgradient": dict(),
+    "momentum": dict(momentum=0.5),
+    "proximal": dict(l1_mode="proximal"),
+}
+
+
+def _pair_problem(pair_index):
+    # d=8, r=4, three classes of 35 rows: batches of 48, 48 and a partial 9
+    adapter_act, gate_act = _PAIRS[pair_index]
+    cfg = LucaConfig(adapter_act=adapter_act, gate_act=gate_act,
+                     gate_residual=bool(pair_index % 2),
+                     reversed=bool((pair_index // 2) % 2))
+    train, _ = synth_gaussian(d=8, num_classes=3, n_train=35, n_test=1,
+                              separation=6.0, sigma=1.0, seed=11)
+    module = init_luca(8, 4, config=cfg, rng_seed=6)
+    return train, module, make_head(8, (0, 1, 2))
+
+
+@pytest.mark.parametrize("rule", sorted(_STEP_RULES))
+@pytest.mark.parametrize("pair_index", range(len(_PAIRS)))
+def test_training_matches_the_per_step_round_trip_bit_for_bit(pair_index, rule):
+    # float64 working copies and cached activation derivatives against the
+    # reference loop that upcasts, recomputes and downcasts at every step
+    cfg = OptimConfig(epochs=3, **_STEP_RULES[rule])
+    train, module, head = _pair_problem(pair_index)
+    w_down_at_init = module.w_down.copy()
+    got_m, got_h, got_trace = train_epochs(module, head, train, cfg,
+                                           Xoshiro256StarStar(5))
+    train, ref_m, ref_h = _pair_problem(pair_index)
+    ref_trace = train_epochs_reference(ref_m, ref_h, train, cfg,
+                                       Xoshiro256StarStar(5))
+    got = list(got_m.matrices()) + [got_h.w]
+    ref = list(ref_m.matrices()) + [ref_h.w]
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype == np.float32
+        assert np.array_equal(g, r)
+        assert g.tobytes() == r.tobytes()  # signs of zeros too
+    assert got_trace == ref_trace
+    assert not np.array_equal(got_m.w_down, w_down_at_init)
+
+
+@pytest.mark.parametrize("pair_index", range(len(_PAIRS)))
+def test_each_step_evaluates_every_activation_once(pair_index, monkeypatch):
+    counts = {"erf": 0, "sigmoid": 0, "activation_grad": 0, "sgd_l1_step": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tosca.numerics, "erf",
+                        counting("erf", tosca.numerics.erf))
+    monkeypatch.setattr(tosca.numerics, "_stable_sigmoid",
+                        counting("sigmoid", tosca.numerics._stable_sigmoid))
+    monkeypatch.setattr(tosca.luca, "activation_grad",
+                        counting("activation_grad", tosca.luca.activation_grad))
+    monkeypatch.setattr(optim, "sgd_l1_step",
+                        counting("sgd_l1_step", optim.sgd_l1_step))
+    train, module, head = _pair_problem(pair_index)
+    train_epochs(module, head, train, OptimConfig(epochs=2),
+                 Xoshiro256StarStar(5))
+    steps = 2 * 3  # 2 epochs of 3 batches
+    halves = _PAIRS[pair_index]
+    assert counts == {"erf": steps * halves.count("gelu"),
+                      "sigmoid": steps * halves.count("sigmoid"),
+                      "activation_grad": 2 * steps,
+                      "sgd_l1_step": 4 * steps}
