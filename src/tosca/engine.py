@@ -3,11 +3,18 @@ module-bank container format.
 
 A scenario walks the stages of a split plan.  The main method trains one
 frozen-after-training module + head per stage and routes each test sample to
-the session whose softmax output has least Shannon entropy.  One kernel,
-``route``, makes that choice for ``predict``, ``predict_batch`` and
-``evaluate_stage``.  Baselines share the harness: sequential finetuning of a
-single module with a growing head, joint training on all classes at once, and
-a prototype classifier with no training at all.
+the session whose softmax output has least Shannon entropy.  One routing
+path makes that choice for ``predict``, ``predict_batch`` and
+``evaluate_stage``: ``score_sessions`` gives each session's raw entropy and
+argmax class per row, and ``pick_sessions`` normalises over the sessions
+present and takes the first minimum.  ``route`` runs both on a batch.  A
+banked session never changes, so a scenario keeps each session's scores in
+a ``SessionScores`` cache over its test rows: stage b scores session b on
+the rows through stage b and the older sessions on stage b's new rows only,
+so with equal stages stage b costs 2b - 1 stage-sized forwards, not b**2.
+Baselines share the harness: sequential finetuning of a single module with a
+growing head, joint training on all classes at once (scored once, sliced per
+stage), and a prototype classifier with no training at all.
 
 Bank file layout (all little endian):
 
@@ -212,40 +219,47 @@ class Routing:
     classes: np.ndarray  # (n,) argmax class id within the chosen session
 
 
-def route(Z, bank: ModuleBank, normalize_entropy: bool = True) -> Routing:
-    """Score every row under every session and pick the least-entropy one.
-
-    When ``normalize_entropy`` is set and the sessions' class counts differ,
-    a session scores entropy / ln K (0 when K = 1) instead of raw entropy.
-    Ties go to the lowest session index, and within a session to the lowest
-    class id.  A NaN or inf input row is refused before any forward pass.
-    """
-    if not bank.entries:
-        raise ValueError("empty bank")
+def _checked_rows(Z, d: int) -> np.ndarray:
+    """``Z`` as float64 rows of width ``d``; a NaN or inf entry is refused."""
     Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != bank.feature_dim:
+    if Z.ndim != 2 or Z.shape[1] != d:
         raise ValueError("dimension mismatch")
     if not np.isfinite(Z).all():
         raise ValueError("non-finite features")
-    n = Z.shape[0]
-    probs = []
-    entropies = np.empty((len(bank), n), dtype=np.float64)
-    picks = np.empty((len(bank), n), dtype=np.int64)
-    for i, e in enumerate(bank.entries):
-        # feats stays bound through the next forward: freed earlier, glibc
-        # trimmed and regrew the heap per session (4x the page faults at d=768)
+    return Z
+
+
+def score_sessions(Z: np.ndarray, entries):
+    """Score float64 rows under each entry's session on its own.
+
+    Yields, per entry in order, the (n, K) softmax rows, the (n,) raw
+    entropies in nats and the (n,) argmax class ids (ties to the lowest
+    id).  A session's scores depend only on that session and ``Z``.  As a
+    generator, each session's temporaries stay bound through the next
+    session's forward: freed earlier, glibc trimmed and regrew the heap per
+    session (4x the page faults at d=768).
+    """
+    for e in entries:
         feats = luca_forward_batch(Z, e.module)
         logits = head_forward_batch(feats, e.head)
         if not np.isfinite(logits).all():
             raise ValueError("non-finite logits")
         P = softmax_rows(logits)
         logP = np.log(np.where(P > 0.0, P, 1.0))
-        entropies[i] = -(P * logP).sum(axis=1)
+        h = 0.0 - (P * logP).sum(axis=1)  # a one-hot row gives 0.0, not -0.0
         ids = np.asarray(e.class_ids, dtype=np.int64)
-        picks[i] = ids[np.argmax(P, axis=1)]
-        probs.append(P)
-    entropies += 0.0  # a one-hot row sums to -0.0; report it as 0.0
-    counts = [len(e.class_ids) for e in bank.entries]
+        yield P, h, ids[np.argmax(P, axis=1)]
+
+
+def pick_sessions(entropies: np.ndarray, classes: np.ndarray, counts,
+                  normalize_entropy: bool = True):
+    """Per row, the least-entropy session of S: (class ids, 1-based sessions).
+
+    ``entropies`` and ``classes`` are (S, n) raw nats and argmax class ids,
+    ``counts`` the sessions' class counts.  When ``normalize_entropy`` is
+    set and the counts differ, a session scores entropy / ln K (0 when
+    K = 1) instead of raw entropy.  Ties go to the lowest session.
+    """
     scores = entropies
     if normalize_entropy and len(set(counts)) > 1:
         scores = np.zeros_like(entropies)
@@ -253,8 +267,31 @@ def route(Z, bank: ModuleBank, normalize_entropy: bool = True) -> Routing:
             if k > 1:
                 scores[i] = entropies[i] / np.log(k)
     chosen = np.argmin(scores, axis=0)  # first min = lowest session
-    return Routing(probs=probs, entropies=entropies, sessions=chosen + 1,
-                   classes=picks[chosen, np.arange(n)])
+    return classes[chosen, np.arange(entropies.shape[1])], chosen + 1
+
+
+def route(Z, bank: ModuleBank, normalize_entropy: bool = True) -> Routing:
+    """Score every row under every session and pick the least-entropy one.
+
+    ``score_sessions`` scores, ``pick_sessions`` picks.  A NaN or inf input
+    row is refused before any forward pass.
+    """
+    if not bank.entries:
+        raise ValueError("empty bank")
+    Z = _checked_rows(Z, bank.feature_dim)
+    n = Z.shape[0]
+    probs = []
+    entropies = np.empty((len(bank), n), dtype=np.float64)
+    picks = np.empty((len(bank), n), dtype=np.int64)
+    for i, (P, h, c) in enumerate(score_sessions(Z, bank.entries)):
+        probs.append(P)
+        entropies[i] = h
+        picks[i] = c
+    classes, sessions = pick_sessions(
+        entropies, picks, [len(e.class_ids) for e in bank.entries],
+        normalize_entropy)
+    return Routing(probs=probs, entropies=entropies, sessions=sessions,
+                   classes=classes)
 
 
 def predict(x, bank: ModuleBank, normalize_entropy: bool = True) -> Prediction:
@@ -279,21 +316,70 @@ def predict_batch(Z: np.ndarray, bank: ModuleBank,
     return r.classes, r.sessions
 
 
+class SessionScores:
+    """Raw entropies and argmax classes of a growing bank's sessions on a
+    fixed list of test rows, each (session, row) pair scored once.
+
+    A banked session never changes, so when the bank has grown, ``route``
+    scores only the new sessions on every requested row and the older
+    sessions on the rows not requested before, then picks from the cache.
+    The entropies stay raw: normalisation depends on the sessions present.
+    """
+
+    def __init__(self, labels):
+        self.labels = np.asarray(labels)
+        self.entropies: list = []  # per scored session, (n,) raw nats
+        self.classes: list = []  # per scored session, (n,) argmax class id
+        self.rows = np.zeros(self.labels.size, dtype=bool)  # rows they scored
+
+    def route(self, bank: ModuleBank, test: FeatureDataset,
+              normalize_entropy: bool = True):
+        """(class ids, sessions) for ``test``, which must be the cached rows
+        of its labels, in order, and include the rows routed before;
+        ``bank`` must extend the last bank routed."""
+        if not bank.entries:
+            raise ValueError("empty bank")
+        covered = np.isin(self.labels, test.labels)
+        if (not np.array_equal(self.labels[covered], test.labels)
+                or len(bank) < len(self.entropies)
+                or np.any(self.rows & ~covered)):
+            raise ValueError("test rows or bank do not extend the scored ones")
+        Z = _checked_rows(test.features, bank.feature_dim)
+        at = np.flatnonzero(covered)
+        fresh = ~self.rows[covered]
+        old = len(self.entropies)
+        if old and fresh.any():
+            for i, (_, h, c) in enumerate(
+                    score_sessions(Z[fresh], bank.entries[:old])):
+                self.entropies[i][at[fresh]] = h
+                self.classes[i][at[fresh]] = c
+        new = [(h, c) for _, h, c in score_sessions(Z, bank.entries[old:])]
+        for h, c in new:  # cached once every new session has scored
+            self.entropies.append(np.zeros(self.labels.size))
+            self.classes.append(np.zeros(self.labels.size, dtype=np.int64))
+            self.entropies[-1][at] = h
+            self.classes[-1][at] = c
+        self.rows = covered
+        return pick_sessions(np.stack([h[at] for h in self.entropies]),
+                             np.stack([c[at] for c in self.classes]),
+                             [len(e.class_ids) for e in bank.entries],
+                             normalize_entropy)
+
+
 @dataclass
 class StageEval:
     accuracy: float
     selection_accuracy: float
 
 
-def _score_stage(classify, test: FeatureDataset, stage_lists) -> StageEval:
-    """Accuracy of ``classify(features)`` on the test rows, and selection:
-    the share of rows whose predicted class lies in the true label's stage.
+def _score_stage(preds, labels, stage_lists) -> StageEval:
+    """Accuracy of the predicted class ids, and selection: the share of
+    rows whose predicted class lies in the true label's stage.
     Class ids are u32: stages are found by binary search, not an id table.
     """
-    if test.n == 0:
+    if labels.size == 0:
         raise ValueError("empty test set")
-    preds = classify(test.features)
-    labels = test.labels.astype(np.int64)
+    labels = labels.astype(np.int64)
     acc = 100.0 * float(np.mean(preds == labels))
     ids = np.concatenate([np.asarray(s, dtype=np.int64) for s in stage_lists])
     stage = np.repeat(np.arange(len(stage_lists)),
@@ -309,25 +395,31 @@ def _score_stage(classify, test: FeatureDataset, stage_lists) -> StageEval:
     if np.any(true_stage < 0):
         raise ValueError("test label outside every stage")
     hits = int(np.count_nonzero(stage_of(preds) == true_stage))
-    return StageEval(accuracy=acc, selection_accuracy=100.0 * hits / test.n)
+    return StageEval(accuracy=acc,
+                     selection_accuracy=100.0 * hits / labels.size)
 
 
 def evaluate_stage(bank: ModuleBank, test: FeatureDataset,
-                   normalize_entropy: bool = True) -> StageEval:
-    return _score_stage(
-        lambda Z: predict_batch(Z, bank, normalize_entropy)[0], test,
-        [e.class_ids for e in bank.entries])
+                   normalize_entropy: bool = True,
+                   scores: SessionScores | None = None) -> StageEval:
+    """Stage accuracy and selection accuracy of routing ``test``.
+
+    ``scores``, a cache over the scenario's test rows of which ``test`` is
+    a part, saves re-scoring what an earlier stage scored; without it every
+    session scores every row.
+    """
+    if scores is None:
+        scores = SessionScores(test.labels)
+    classes = scores.route(bank, test, normalize_entropy)[0]
+    return _score_stage(classes, test.labels,
+                        [e.class_ids for e in bank.entries])
 
 
-def _eval_single(module, head, test: FeatureDataset, stage_lists) -> StageEval:
-    """Stage metrics for the single-model baselines (one shared head)."""
+def _single_classes(module, head, Z) -> np.ndarray:
+    """Class ids of the single-model baselines (one shared head)."""
     ids = np.asarray(head.class_ids, dtype=np.int64)
-
-    def classify(Z):
-        logits = head_forward_batch(luca_forward_batch(Z, module), head)
-        return ids[np.argmax(logits, axis=1)]
-
-    return _score_stage(classify, test, stage_lists)
+    return ids[np.argmax(head_forward_batch(luca_forward_batch(Z, module),
+                                            head), axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +463,13 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     """Run one incremental scenario end to end.
 
     Stage b is always scored on the test rows of every class seen through
-    stage b; A_bar averages those stage accuracies.  Each stage draws its own
-    seed from the master via ``derive_seeds`` so later stages cannot perturb
-    earlier ones.  A training divergence raises ``FloatingPointError`` naming
-    the method, the stage and the epoch.
+    stage b; A_bar averages those stage accuracies.  ``tosca`` and
+    ``tosca_r`` pass ``evaluate_stage`` a ``SessionScores`` cache, so each
+    (session, test row) pair is forwarded once over the whole scenario, and
+    the stage metrics are those of routing each stage's rows afresh.  Each
+    stage draws its own seed from the master via ``derive_seeds`` so later
+    stages cannot perturb earlier ones.  A training divergence raises
+    ``FloatingPointError`` naming the method, the stage and the epoch.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -398,13 +493,14 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
 
     if method in ("tosca", "tosca_r"):
         bank = ModuleBank(d)
+        scores = SessionScores(test.labels)
         init = init_luca(d, cfg.r, cfg.luca_config(), shared_init)
         for b, classes in enumerate(splits.stages, start=1):
             with _naming_divergence(method, f"stage {b}"):
                 train_session(bank, train, classes, cfg, stage_seeds[b - 1],
                               init=init)
             ev = evaluate_stage(bank, test.subset(splits.classes_through(b)),
-                                cfg.normalize_entropy)
+                                cfg.normalize_entropy, scores)
             stages.append({"index": b, "A_b": ev.accuracy,
                            "selection_accuracy": ev.selection_accuracy})
             params.append(param_count(d, cfg.r) + d * len(classes))
@@ -428,9 +524,9 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
             with _naming_divergence(method, f"stage {b}"):
                 train_epochs(module, head, ds, cfg.optim,
                              Xoshiro256StarStar(shuffle_seed))
-            ev = _eval_single(module, head,
-                              test.subset(splits.classes_through(b)),
-                              splits.stages)
+            seen = test.subset(splits.classes_through(b))
+            ev = _score_stage(_single_classes(module, head, seen.features),
+                              seen.labels, splits.stages)
             stages.append({"index": b, "A_b": ev.accuracy,
                            "selection_accuracy": ev.selection_accuracy})
         artifacts["module"] = module
@@ -446,10 +542,10 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
         with _naming_divergence(method, f"stages 1-{B}"):
             train_epochs(module, head, ds, cfg.optim,
                          Xoshiro256StarStar(shuffle_seed))
+        preds = _single_classes(module, head, test.features)  # model is fixed
         for b in range(1, B + 1):
-            ev = _eval_single(module, head,
-                              test.subset(splits.classes_through(b)),
-                              splits.stages)
+            rows = np.isin(test.labels, splits.classes_through(b))
+            ev = _score_stage(preds[rows], test.labels[rows], splits.stages)
             stages.append({"index": b, "A_b": ev.accuracy,
                            "selection_accuracy": ev.selection_accuracy})
             params.append(param_count(d, cfg.r) + d * len(all_ids) if b == 1 else 0)
@@ -462,9 +558,9 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
             if ds.n == 0:
                 raise ValueError("empty session data")
             proto = build_prototypes(ds.features, ds.labels, proto)
-            ev = _score_stage(lambda Z: prototype_classify_batch(Z, proto),
-                              test.subset(splits.classes_through(b)),
-                              splits.stages)
+            seen = test.subset(splits.classes_through(b))
+            ev = _score_stage(prototype_classify_batch(seen.features, proto),
+                              seen.labels, splits.stages)
             stages.append({"index": b, "A_b": ev.accuracy,
                            "selection_accuracy": ev.selection_accuracy})
             params.append(d * len(classes))
@@ -500,13 +596,9 @@ def module_orthogonality(bank: ModuleBank) -> float:
 
 def feature_shift(bank: ModuleBank, features: np.ndarray) -> tuple:
     """Per session, mean ||L(z) - z|| / ||z|| over the given rows."""
-    Z = np.asarray(features, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != bank.feature_dim:
-        raise ValueError("dimension mismatch")
+    Z = _checked_rows(features, bank.feature_dim)
     if Z.shape[0] == 0:
         raise ValueError("no samples")
-    if not np.isfinite(Z).all():
-        raise ValueError("non-finite features")
     base = np.linalg.norm(Z, axis=1)
     if np.any(base == 0.0):
         raise ValueError("degenerate vector")

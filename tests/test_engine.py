@@ -10,7 +10,7 @@ import pytest
 
 import oracle
 import tosca.engine as engine
-from tosca.data import make_splits, synth_gaussian
+from tosca.data import FeatureDataset, make_splits, synth_gaussian
 from tosca.engine import (BANK_MAGIC, BankEntry, ModuleBank, ScenarioConfig,
                           entry_checksum, evaluate_stage, feature_shift,
                           fnv1a, load_bank, module_orthogonality, predict,
@@ -595,6 +595,103 @@ def test_joint_sees_everything_finetune_forgets_some():
     ft = run_scenario(train, test, splits, "finetune", cfg, seed=3)
     assert joint.stages[-1]["A_b"] > ft.stages[-1]["A_b"]
     assert joint.stages[0]["A_b"] >= 95.0
+
+
+def _bank_through(bank, b):
+    prefix = ModuleBank(bank.feature_dim)
+    for e in bank.entries[:b]:
+        prefix.append(e)
+    return prefix
+
+
+@pytest.mark.parametrize("num_classes,base,normalize", [
+    (9, 3, True),  # K = 3, 2, 2, 2: the normalised branch
+    (7, 1, True),  # K = 1 first: entropy 0, ties go to the lowest session
+    (9, 3, False),
+])
+def test_cached_stage_metrics_match_per_stage_routing(num_classes, base,
+                                                      normalize):
+    train, test = synth_gaussian(d=16, num_classes=num_classes, n_train=40,
+                                 n_test=20, separation=138.0, sigma=23.0,
+                                 seed=3)
+    splits = make_splits(range(num_classes), base, 2, seed=1993)
+    cfg = replace(_FAST, normalize_entropy=normalize)
+    report = run_scenario(train, test, splits, "tosca", cfg, seed=11)
+    bank = report.artifacts["bank"]
+    scores = engine.SessionScores(test.labels)
+    for b in range(1, splits.num_stages + 1):
+        prefix = _bank_through(bank, b)
+        seen = test.subset(splits.classes_through(b))
+        ev = evaluate_stage(prefix, seen, normalize)
+        assert report.stages[b - 1] == {"index": b, "A_b": ev.accuracy,
+                                        "selection_accuracy":
+                                            ev.selection_accuracy}
+        cached = scores.route(prefix, seen, normalize)
+        routed = predict_batch(seen.features, prefix, normalize)
+        assert all(np.array_equal(x, y) for x, y in zip(cached, routed))
+
+
+@pytest.fixture
+def forwarded(monkeypatch):
+    """Row counts of the engine's luca_forward_batch calls, in order."""
+    rows = []
+
+    def spy(Z, module):
+        rows.append(Z.shape[0])
+        return luca_forward_batch(Z, module)
+
+    monkeypatch.setattr(engine, "luca_forward_batch", spy)
+    return rows
+
+
+def test_stage_evaluation_forwards_each_session_row_pair_once(forwarded):
+    train, test, splits = _small_scenario(num_classes=8)
+    run_scenario(train, test, splits, "tosca", _FAST, seed=11)
+    B = splits.num_stages
+    through = [test.subset(splits.classes_through(b)).n
+               for b in range(1, B + 1)]
+    new = [test.subset(stage).n for stage in splits.stages]
+    # session b on every row through b, older sessions on stage b's rows
+    assert sum(forwarded) == sum(through) + sum(
+        (b - 1) * new[b - 1] for b in range(1, B + 1))
+
+
+def test_session_scores_refuse_rows_that_do_not_extend_them():
+    train, test, splits = _small_scenario()
+    bank = run_scenario(train, test, splits, "tosca", _FAST,
+                        seed=11).artifacts["bank"]
+    first = _bank_through(bank, 1)
+    scores = engine.SessionScores(test.labels)
+    scores.route(first, test.subset(splits.stages[0]))
+    with pytest.raises(ValueError, match="do not extend"):
+        # stage 2's rows alone leave out the rows routed before
+        scores.route(_bank_through(bank, 2), test.subset(splits.stages[1]))
+    seen = test.subset(splits.classes_through(2))
+    some = FeatureDataset(name="some", features=seen.features[:-1],
+                          labels=seen.labels[:-1])
+    with pytest.raises(ValueError, match="do not extend"):
+        # not every cached row of these labels
+        scores.route(_bank_through(bank, 2), some)
+    # a bank that grew by two sessions at once is scored like a fresh one
+    fresh = engine.SessionScores(test.labels)
+    assert all(np.array_equal(x, y) for x, y in zip(
+        scores.route(bank, test), fresh.route(bank, test)))
+    with pytest.raises(ValueError, match="do not extend"):
+        scores.route(first, test.subset(splits.stages[0]))
+
+
+def test_joint_scores_its_test_set_once(forwarded):
+    train, test, splits = _small_scenario()
+    report = run_scenario(train, test, splits, "joint", _FAST, seed=11)
+    assert forwarded == [test.n]
+    module, head = report.artifacts["module"], report.artifacts["head"]
+    ids = np.asarray(head.class_ids)
+    for b, stage in enumerate(report.stages, start=1):
+        seen = test.subset(splits.classes_through(b))
+        logits = head_forward_batch(luca_forward_batch(seen.features, module),
+                                    head)
+        acc = 100.0 * np.mean(ids[np.argmax(logits, axis=1)] == seen.labels)
+        assert stage["A_b"] == acc
 
 
 # --- diagnostics -------------------------------------------------------------
