@@ -57,12 +57,12 @@ def head_forward(z, head: SessionHead) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (head.d,):
         raise ValueError("dimension mismatch")
-    return z @ head.w.astype(np.float64)
+    return z @ np.asarray(head.w, dtype=np.float64)
 
 
 def head_forward_batch(Z: np.ndarray, head: SessionHead) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
-    return Z @ head.w.astype(np.float64)
+    return Z @ np.asarray(head.w, dtype=np.float64)
 
 
 def extend_head(head: SessionHead, new_class_ids) -> SessionHead:

@@ -1,6 +1,7 @@
 """SGD with cosine-annealed learning rate and L1 shrinkage on module weights.
 
-Parameters live in float32 but every update runs in float64.
+Parameters live in float32 (``train_epochs`` refuses any other dtype) but
+every update runs in float64.
 ``train_epochs`` builds one float64 working copy of each of the module's four
 matrices and of the head when it starts, and the forward, backward and step
 read those.  After each step it writes the float32 weights from the float64
@@ -116,7 +117,16 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
     measured at epoch end; a non-finite loss stops training in that epoch
     with ``FloatingPointError``.  With epochs=0 nothing moves and the trace
     is empty.  Returns the (mutated) module and head plus the trace.
+    The four matrices and the head must be float32: any other dtype would
+    skip the per-step float32 rounding, so it raises ``ValueError``.
     """
+    mats = ["w_down", "w_up", "v_down", "v_up"]
+    weights = {name: getattr(module, name) for name in mats}
+    weights["head.w"] = head.w
+    for name, arr in weights.items():
+        if arr.dtype != np.float32:
+            raise ValueError(f"{name} is {arr.dtype}; training needs "
+                             "float32 weights")
     Z = np.asarray(data.features, dtype=np.float64)
     y = np.asarray(data.labels)
     n = Z.shape[0]
@@ -132,7 +142,6 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
     batches = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = batches * cfg.epochs
 
-    mats = ["w_down", "w_up", "v_down", "v_up"]
     # float64 working copies, refreshed from the float32 weights every step
     work = replace(module, **{name: getattr(module, name).astype(np.float64)
                               for name in mats})

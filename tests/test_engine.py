@@ -1,5 +1,6 @@
 """Module bank, entropy routing, scenario driver, and bank container tests."""
 
+import itertools
 import math
 import struct
 import warnings
@@ -10,6 +11,8 @@ import pytest
 
 import oracle
 import tosca.engine as engine
+import tosca.heads
+import tosca.luca
 from tosca.data import FeatureDataset, make_splits, synth_gaussian
 from tosca.engine import (BANK_MAGIC, BankEntry, ModuleBank, ScenarioConfig,
                           entry_checksum, evaluate_stage, feature_shift,
@@ -19,6 +22,7 @@ from tosca.engine import (BANK_MAGIC, BankEntry, ModuleBank, ScenarioConfig,
 from tosca.heads import SessionHead, head_forward_batch, make_head
 from tosca.luca import (LucaConfig, LucaModule, init_luca, luca_forward_batch,
                         param_count)
+from tosca.numerics import ACTIVATIONS
 from tosca.optim import OptimConfig, train_epochs
 from tosca.rng import Xoshiro256StarStar, derive_seeds
 
@@ -802,10 +806,35 @@ def test_fnv1a_sees_every_byte():
         assert fnv1a(flipped) == oracle.fnv1a(flipped), pos
 
 
+def _assert_routes_alike(a, b, Z):
+    """``route`` gives bit-identical entropies, probs, classes and sessions
+    on banks a and b, for a one-row and a multi-row batch."""
+    for rows in (Z[:1], Z):
+        ra, rb = route(rows, a), route(rows, b)
+        assert np.array_equal(ra.entropies, rb.entropies)
+        assert len(ra.probs) == len(rb.probs) == len(a)
+        for pa, pb in zip(ra.probs, rb.probs):
+            assert np.array_equal(pa, pb)
+        assert np.array_equal(ra.classes, rb.classes)
+        assert np.array_equal(ra.sessions, rb.sessions)
+
+
+def _bank_weights(bank):
+    return [arr for e in bank.entries
+            for arr in e.module.matrices() + (e.head.w,)]
+
+
+def _trained_bank(train, cfg, sessions):
+    bank = ModuleBank(train.d)
+    for seed, ids in enumerate(sessions, start=5):
+        train_session(bank, train, ids, cfg, seed=seed)
+    return bank
+
+
 def test_bank_round_trip(tmp_path):
-    train, test, splits = _small_scenario()
-    report = run_scenario(train, test, splits, "tosca", _FAST, seed=11)
-    bank = report.artifacts["bank"]
+    train, test, _ = _small_scenario(num_classes=8)
+    # sessions of K = 1, 3 and 2, so routing normalises the entropies
+    bank = _trained_bank(train, _FAST, ((0,), (1, 2, 3), (4, 5)))
     p = tmp_path / "bank.luca"
     save_bank(bank, p)
     back = load_bank(p, config=_FAST.luca_config())
@@ -813,14 +842,74 @@ def test_bank_round_trip(tmp_path):
     for a, b in zip(bank.entries, back.entries):
         assert entry_checksum(a) == entry_checksum(b)
         assert a.class_ids == b.class_ids
-    # loaded bank routes identically
-    c1, s1 = predict_batch(test.features, bank)
-    c2, s2 = predict_batch(test.features, back)
-    assert np.array_equal(c1, c2) and np.array_equal(s1, s2)
+    # a loaded bank holds read-only float64 copies of the file's float32 values
+    for trained, loaded in zip(_bank_weights(bank), _bank_weights(back)):
+        assert trained.dtype == np.float32
+        assert loaded.dtype == np.float64 and not loaded.flags.writeable
+        assert np.array_equal(loaded, trained)
+        assert loaded.astype(np.float32).tobytes() == trained.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            loaded[0, 0] = 1.0
+    _assert_routes_alike(bank, back, test.features)
     # re-saving is byte stable
     p2 = tmp_path / "again.luca"
     save_bank(back, p2)
     assert p.read_bytes() == p2.read_bytes()
+    # a float32 session trained after the load routes with the loaded ones
+    for b in (bank, back):
+        train_session(b, train, (6, 7), _FAST, seed=9)
+    assert back.entries[-1].module.w_down.dtype == np.float32
+    assert entry_checksum(back.entries[-1]) == entry_checksum(bank.entries[-1])
+    _assert_routes_alike(bank, back, test.features)
+
+
+def test_a_loaded_module_does_not_train_as_init(tmp_path):
+    train, _, _ = _small_scenario()
+    bank = ModuleBank(16)
+    train_session(bank, train, (0, 1), _FAST, seed=5)
+    p = tmp_path / "bank.luca"
+    save_bank(bank, p)
+    loaded = load_bank(p, config=_FAST.luca_config()).entries[0].module
+    with pytest.raises(ValueError, match="w_down is float64"):
+        train_session(ModuleBank(16), train, (2, 3), _FAST, seed=6,
+                      init=loaded)
+    assert not loaded.w_down.flags.writeable
+
+
+def test_serving_a_loaded_bank_copies_no_weights(tmp_path, monkeypatch):
+    train, test, _ = _small_scenario(num_classes=8)
+    save_bank(_trained_bank(train, _FAST, ((0,), (1, 2, 3), (4, 5))),
+              tmp_path / "bank.luca")
+    bank = load_bank(tmp_path / "bank.luca", config=_FAST.luca_config())
+    matrices = []
+    f64_matrices = tosca.luca._f64_matrices
+
+    def spy_matrices(m):
+        out = f64_matrices(m)
+        matrices.append((m.matrices(), out))
+        return out
+
+    heads = []  # (head.w, what head_forward_batch multiplies by)
+
+    class SpyNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def asarray(self, a, *args, **kwargs):
+            out = np.asarray(a, *args, **kwargs)
+            if any(a is e.head.w for e in bank.entries):
+                heads.append((a, out))
+            return out
+
+    monkeypatch.setattr(tosca.luca, "_f64_matrices", spy_matrices)
+    monkeypatch.setattr(tosca.heads, "np", SpyNumpy())
+    predict(test.features[0], bank)
+    predict_batch(test.features, bank)
+    assert len(matrices) == len(heads) == 2 * len(bank)
+    for own, used in matrices:
+        assert all(u is o for u, o in zip(used, own))
+    for w, used in heads:
+        assert np.shares_memory(used, w)
 
 
 def test_empty_bank_round_trip(tmp_path):
@@ -948,16 +1037,22 @@ def test_bank_load_rejects_non_finite_head(tmp_path):
 
 
 def test_load_bank_applies_given_config(tmp_path):
-    train, test, splits = _small_scenario()
-    cfg = replace(_FAST, reversed=True)
-    bank = run_scenario(train, test, splits, "tosca_r", _FAST,
-                        seed=11).artifacts["bank"]
-    p = tmp_path / "rev.luca"
-    save_bank(bank, p)
-    same = load_bank(p, config=cfg.luca_config())
-    c1, _ = predict_batch(test.features, bank)
-    c2, _ = predict_batch(test.features, same)
-    assert np.array_equal(c1, c2)
-    # the container stores no activation flags: defaults give a different map
-    other = load_bank(p)
-    assert other.entries[0].module.config.reversed is False
+    # every activation pair, order and gate form round-trips bit for bit
+    train, test, _ = _small_scenario(num_classes=8)
+    p = tmp_path / "bank.luca"
+    for adapter_act, gate_act, reversed_, gate_residual in itertools.product(
+            ACTIVATIONS, ACTIVATIONS, (False, True), (False, True)):
+        cfg = replace(_FAST, adapter_act=adapter_act, gate_act=gate_act,
+                      reversed=reversed_, gate_residual=gate_residual)
+        # equal K, so that no K = 1 session takes every row
+        bank = _trained_bank(train, cfg, ((0, 1), (2, 3), (4, 5)))
+        assert len(np.unique(route(test.features, bank).sessions)) > 1
+        save_bank(bank, p)
+        same = load_bank(p, config=cfg.luca_config())
+        _assert_routes_alike(bank, same, test.features)
+        # the container stores no activation flags: defaults give another map
+        other = load_bank(p)
+        assert other.entries[0].module.config == LucaConfig()
+        if cfg.luca_config() != LucaConfig():
+            assert not np.array_equal(route(test.features, bank).entropies,
+                                      route(test.features, other).entropies)

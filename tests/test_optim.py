@@ -140,6 +140,35 @@ def test_training_errors():
         train_epochs(module, head, wide, OptimConfig(), Xoshiro256StarStar(1))
 
 
+@pytest.mark.parametrize("name", ["w_down", "w_up", "v_down", "v_up", "head.w"])
+def test_training_refuses_weights_that_are_not_float32(name, monkeypatch):
+    # a float64 weight would train without the per-step float32 rounding
+    train, module, head = _toy_problem()
+    if name == "head.w":
+        head = make_head(8, (0, 1), dtype=np.float64)
+    else:
+        setattr(module, name, getattr(module, name).astype(np.float64))
+    before = [m.copy() for m in module.matrices()] + [head.w.copy()]
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("an optimizer step ran")
+
+    monkeypatch.setattr(optim, "_batch_loss_grads", no_step)
+    with pytest.raises(ValueError, match=f"^{name} is float64"):
+        train_epochs(module, head, train, OptimConfig(epochs=1),
+                     Xoshiro256StarStar(1))
+    for b, a in zip(before, list(module.matrices()) + [head.w]):
+        assert b.tobytes() == a.tobytes()
+
+
+def test_training_refuses_a_float64_module():
+    train, _, head = _toy_problem()
+    module = init_luca(8, 4, rng_seed=6, dtype=np.float64)
+    with pytest.raises(ValueError, match="^w_down is float64"):
+        train_epochs(module, head, train, OptimConfig(epochs=1),
+                     Xoshiro256StarStar(1))
+
+
 def test_step_count_is_ceil_batches_times_epochs(monkeypatch):
     train, module, head = _toy_problem()
     data = FeatureDataset(name="t", features=train.features[:10],
