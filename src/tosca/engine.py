@@ -12,6 +12,11 @@ banked session never changes, so a scenario keeps each session's scores in
 a ``SessionScores`` cache over its test rows: stage b scores session b on
 the rows through stage b and the older sessions on stage b's new rows only,
 so with equal stages stage b costs 2b - 1 stage-sized forwards, not b**2.
+A session depends only on its own rows, so a scenario trains its sessions
+in up to N processes, N the CPUs this process may run on (at most one per
+stage): this process trains every N-th session and evaluates every stage
+in order, and N - 1 forked workers train the rest.  Reports and banks are
+bit-identical to the serial loop, which one CPU runs as before.
 Baselines share the harness: sequential finetuning of a single module with a
 growing head, joint training on all classes at once (scored once, sliced per
 stage), and a prototype classifier with no training at all.
@@ -43,6 +48,8 @@ float32 weights; ``train_epochs`` refuses float64 ones.
 from __future__ import annotations
 
 import copy
+import multiprocessing
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -162,6 +169,45 @@ class ScenarioConfig:
         }
 
 
+def _session_ids(train: FeatureDataset, class_ids, taken: set,
+                 d: int) -> tuple:
+    """A new session's class ids, sorted, after the classes ``taken``.
+
+    Raises the ``ValueError`` that training the session would: its classes
+    overlap ``taken``, ``train`` has no row of them, or ``train`` is not
+    ``d`` wide.
+    """
+    ids = tuple(sorted(int(c) for c in class_ids))
+    if not taken.isdisjoint(ids):
+        raise ValueError("overlapping classes")
+    if set(train.class_ids).isdisjoint(ids):
+        raise ValueError("empty session data")
+    if train.d != d:
+        raise ValueError("dimension mismatch")
+    return ids
+
+
+def _fit_session(train: FeatureDataset, ids: tuple, cfg: ScenarioConfig,
+                 seed: int, init: LucaModule | None = None,
+                 init_seed: int | None = None):
+    """(module, head) trained on the rows of the classes ``ids``.
+
+    ``train_session`` and the scenario's training workers both fit through
+    here.  The module is a copy of ``init`` or, without one, drawn from
+    ``init_seed`` (by default the first of ``derive_seeds(seed, 2)``).
+    """
+    derived_init, shuffle_seed = derive_seeds(seed, 2)
+    if init is not None:
+        module = copy.deepcopy(init)  # training writes in place
+    else:
+        module = init_luca(train.d, cfg.r, cfg.luca_config(),
+                           derived_init if init_seed is None else init_seed)
+    head = make_head(train.d, ids)
+    train_epochs(module, head, train.subset(ids), cfg.optim,
+                 Xoshiro256StarStar(shuffle_seed))
+    return module, head
+
+
 def train_session(bank: ModuleBank, train: FeatureDataset, class_ids,
                   cfg: ScenarioConfig, seed: int,
                   init_seed: int | None = None,
@@ -176,32 +222,23 @@ def train_session(bank: ModuleBank, train: FeatureDataset, class_ids,
     sessions then measure training, not init noise.  It draws that init
     once and passes it as ``init``, which is copied, never trained in
     place; ``init_seed`` draws it here instead.  Give at most one of them.
+
+    A session depends only on its own rows, the config, the seed and the
+    init.  So ``run_scenario`` trains a scenario's sessions in up to N
+    processes, N the CPUs it may run on, through the same fit as this call,
+    and banks weights identical to calling this for each session in turn.
     """
-    ids = tuple(sorted(int(c) for c in class_ids))
-    seen = set(bank.class_ids)
-    if any(c in seen for c in ids):
-        raise ValueError("overlapping classes")
-    ds = train.subset(ids)
-    if ds.n == 0:
-        raise ValueError("empty session data")
-    if ds.d != bank.feature_dim:
-        raise ValueError("dimension mismatch")
-    derived_init, shuffle_seed = derive_seeds(seed, 2)
+    ids = _session_ids(train, class_ids, set(bank.class_ids),
+                       bank.feature_dim)
     if init is not None:
         if init_seed is not None:
             raise ValueError("give init_seed or init, not both")
         if (init.d, init.r, init.config) != (bank.feature_dim, cfg.r,
                                              cfg.luca_config()):
             raise ValueError("init does not match the bank and config")
-        module = copy.deepcopy(init)  # training writes in place
-    else:
-        if init_seed is None:
-            init_seed = derived_init
-        module = init_luca(bank.feature_dim, cfg.r, cfg.luca_config(), init_seed)
-    head = make_head(bank.feature_dim, ids)
-    train_epochs(module, head, ds, cfg.optim, Xoshiro256StarStar(shuffle_seed))
-    entry = BankEntry(session_index=len(bank) + 1, module=module, head=head)
-    bank.append(entry)
+    module, head = _fit_session(train, ids, cfg, seed, init, init_seed)
+    bank.append(BankEntry(session_index=len(bank) + 1, module=module,
+                          head=head))
     return bank
 
 
@@ -457,12 +494,83 @@ class ScenarioReport:
 
 
 @contextmanager
-def _naming_divergence(method: str, stage: str):
-    """Re-raise a training divergence with the method and the stage."""
+def _naming_stage(method: str, stage: str):
+    """Re-raise a training divergence or a lost training worker with the
+    method and the stage."""
     try:
         yield
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"{method} {stage}: {exc}") from exc
+    except (FloatingPointError, RuntimeError) as exc:
+        raise type(exc)(f"{method} {stage}: {exc}") from exc
+
+
+def _worker_count(stages: int) -> int:
+    """Processes to train a scenario's sessions in: one per CPU this process
+    may run on, at most one per stage.  Without CPU affinity (no ``fork``
+    either) or inside a daemonic process, which may not start children, it
+    is 1."""
+    if (not hasattr(os, "sched_getaffinity")
+            or multiprocessing.current_process().daemon):
+        return 1
+    return min(len(os.sched_getaffinity(0)), stages)
+
+
+def _train_share(conn, train, jobs, cfg, init) -> None:
+    """Worker body: fit each (class ids, seed) job in order and send its
+    (module, head) over ``conn``; on an error, send the exception and stop."""
+    try:
+        for ids, seed in jobs:
+            conn.send(_fit_session(train, ids, cfg, seed, init))
+    except Exception as exc:
+        conn.send(exc)
+    finally:
+        conn.close()
+
+
+@contextmanager
+def _session_workers(train, stages, seeds, cfg, init, workers: int):
+    """Train sessions b with (b - 1) % workers = k = 1 .. workers-1 in forked
+    process k; yields ``trained(b)``, their (module, head) in stage order.
+
+    Each child inherits the inputs through ``fork``, so nothing is pickled
+    on the way in, and sends its results back over its own pipe.  The
+    parent closes its copy of each pipe's write end, so a child that dies
+    leaves end of file, not a blocked read: ``trained`` raises
+    ``RuntimeError``.  A child's exception is raised again in the parent.
+    No child outlives the block.
+    """
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+
+    def trained(b: int):
+        k = (b - 1) % workers
+        try:
+            result = conns[k - 1].recv()
+        except EOFError:
+            procs[k - 1].join()
+            raise RuntimeError(f"training worker exited with code "
+                               f"{procs[k - 1].exitcode}") from None
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    try:
+        for k in range(1, workers):
+            jobs = [(ids, seeds[i])
+                    for i, ids in enumerate(stages) if i % workers == k]
+            conn, child_end = ctx.Pipe(duplex=False)
+            conns.append(conn)
+            procs.append(ctx.Process(target=_train_share, daemon=True,
+                                     args=(child_end, train, jobs, cfg, init)))
+            procs[-1].start()
+            child_end.close()
+        yield trained
+    finally:
+        for p in procs:
+            p.terminate()
+        for p in procs:
+            p.join()
+        for conn in conns:
+            conn.close()
 
 
 def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
@@ -478,6 +586,17 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     stage draws its own seed from the master via ``derive_seeds`` so later
     stages cannot perturb earlier ones.  A training divergence raises
     ``FloatingPointError`` naming the method, the stage and the epoch.
+
+    ``tosca`` and ``tosca_r`` train their sessions in up to N processes, N
+    the CPUs in ``os.sched_getaffinity`` and at most the stage count.  This
+    process checks every stage first (raising the ``ValueError`` that
+    ``train_session`` would), draws the shared init, then forks N - 1
+    workers.  It trains sessions 1, N + 1, 2N + 1, ... itself and reads the
+    others' (module, head) from their workers in stage order, evaluating
+    each stage as before.  The results are identical to the serial loop,
+    and a failure reads the same whichever process met it.  A worker that
+    dies raises ``RuntimeError`` naming the stage, and no worker outlives
+    the call.  With one CPU no process starts.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -500,18 +619,32 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     artifacts: dict = {}
 
     if method in ("tosca", "tosca_r"):
+        taken: set = set()
+        session_ids = []
+        for classes in splits.stages:  # every stage, before any worker
+            session_ids.append(_session_ids(train, classes, taken, d))
+            taken.update(session_ids[-1])
         bank = ModuleBank(d)
         scores = SessionScores(test.labels)
         init = init_luca(d, cfg.r, cfg.luca_config(), shared_init)
-        for b, classes in enumerate(splits.stages, start=1):
-            with _naming_divergence(method, f"stage {b}"):
-                train_session(bank, train, classes, cfg, stage_seeds[b - 1],
-                              init=init)
-            ev = evaluate_stage(bank, test.subset(splits.classes_through(b)),
-                                cfg.normalize_entropy, scores)
-            stages.append({"index": b, "A_b": ev.accuracy,
-                           "selection_accuracy": ev.selection_accuracy})
-            params.append(param_count(d, cfg.r) + d * len(classes))
+        workers = _worker_count(B)
+        with _session_workers(train, session_ids, stage_seeds, cfg, init,
+                              workers) as trained:
+            for b, classes in enumerate(splits.stages, start=1):
+                with _naming_stage(method, f"stage {b}"):
+                    if (b - 1) % workers == 0:
+                        train_session(bank, train, classes, cfg,
+                                      stage_seeds[b - 1], init=init)
+                    else:
+                        module, head = trained(b)
+                        bank.append(BankEntry(session_index=b, module=module,
+                                              head=head))
+                ev = evaluate_stage(bank,
+                                    test.subset(splits.classes_through(b)),
+                                    cfg.normalize_entropy, scores)
+                stages.append({"index": b, "A_b": ev.accuracy,
+                               "selection_accuracy": ev.selection_accuracy})
+                params.append(param_count(d, cfg.r) + d * len(classes))
         artifacts["bank"] = bank
     elif method == "finetune":
         module = None
@@ -529,7 +662,7 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
             else:
                 head = extend_head(head, ids)
                 params.append(d * len(ids))
-            with _naming_divergence(method, f"stage {b}"):
+            with _naming_stage(method, f"stage {b}"):
                 train_epochs(module, head, ds, cfg.optim,
                              Xoshiro256StarStar(shuffle_seed))
             seen = test.subset(splits.classes_through(b))
@@ -547,7 +680,7 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
         init_seed, shuffle_seed = derive_seeds(stage_seeds[0], 2)
         module = init_luca(d, cfg.r, cfg.luca_config(), init_seed)
         head = make_head(d, all_ids)
-        with _naming_divergence(method, f"stages 1-{B}"):
+        with _naming_stage(method, f"stages 1-{B}"):
             train_epochs(module, head, ds, cfg.optim,
                          Xoshiro256StarStar(shuffle_seed))
         preds = _single_classes(module, head, test.features)  # model is fixed

@@ -187,6 +187,14 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_diverging_run_exits_1(bench, capsys):
+    with np.errstate(all="ignore"):
+        rc = main(_run_args(bench, ["--method", "tosca", "--lr", "1e5"]))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: tosca stage 1: training diverged in epoch ")
+
+
 def test_bad_split_exits_1(bench, capsys):
     rc = main(["run", "--data", f"{bench}.train.ftr", "--inc", "4",
                "--epochs", "1"])
