@@ -14,9 +14,11 @@ the rows through stage b and the older sessions on stage b's new rows only,
 so with equal stages stage b costs 2b - 1 stage-sized forwards, not b**2.
 A session depends only on its own rows, so a scenario trains its sessions
 in up to N processes, N the CPUs this process may run on (at most one per
-stage): this process trains every N-th session and evaluates every stage
-in order, and N - 1 forked workers train the rest.  Reports and banks are
-bit-identical to the serial loop, which one CPU runs as before.
+stage): this process and N - 1 forked workers each take the next session
+from a shared queue whenever they are free, so a process slowed by other
+load trains fewer, and this process evaluates every stage in order.
+Reports and banks are bit-identical to the serial loop, which one CPU runs
+as before.
 Baselines share the harness: sequential finetuning of a single module with a
 growing head, joint training on all classes at once (scored once, sliced per
 stage), and a prototype classifier with no training at all.
@@ -51,8 +53,12 @@ import copy
 import multiprocessing
 import os
 import struct
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from multiprocessing.connection import wait
+from queue import SimpleQueue
 from time import perf_counter
 
 import numpy as np
@@ -192,9 +198,9 @@ def _fit_session(train: FeatureDataset, ids: tuple, cfg: ScenarioConfig,
                  init_seed: int | None = None):
     """(module, head) trained on the rows of the classes ``ids``.
 
-    ``train_session`` and the scenario's training workers both fit through
-    here.  The module is a copy of ``init`` or, without one, drawn from
-    ``init_seed`` (by default the first of ``derive_seeds(seed, 2)``).
+    ``train_session`` and every process of a scenario's session queue fit
+    through here.  The module is a copy of ``init`` or, without one, drawn
+    from ``init_seed`` (by default the first of ``derive_seeds(seed, 2)``).
     """
     derived_init, shuffle_seed = derive_seeds(seed, 2)
     if init is not None:
@@ -514,53 +520,151 @@ def _worker_count(stages: int) -> int:
     return min(len(os.sched_getaffinity(0)), stages)
 
 
-def _train_share(conn, train, jobs, cfg, init) -> None:
-    """Worker body: fit each (class ids, seed) job in order and send its
-    (module, head) over ``conn``; on an error, send the exception and stop."""
+def _next_session(queue: int) -> int:
+    """Claim the next session from the queue pipe: its stage number, or 0
+    once every session is claimed.  A token is one 4-byte read, and the
+    kernel serialises reads from a pipe, so no two processes claim the same
+    session, and a process that dies cannot block the others."""
+    return int.from_bytes(os.read(queue, 4), "little")
+
+
+def _claims(first: int, queue: int):
+    """Stage ``first``, then each session claimed from ``queue``."""
+    yield first
+    while b := _next_session(queue):
+        yield b
+
+
+def _fill_queue(queue_end: int, sessions: range) -> int:
+    """Write ``sessions``' tokens into the queue pipe while it has room and
+    return the first session left out.  Each write is at most PIPE_BUF
+    bytes, so it goes in whole or not at all."""
+    os.set_blocking(queue_end, False)
+    for start in range(sessions.start, sessions.stop, 1024):
+        stop = min(start + 1024, sessions.stop)
+        try:
+            os.write(queue_end, b"".join(b.to_bytes(4, "little")
+                                         for b in range(start, stop)))
+        except BlockingIOError:
+            return start
+    return sessions.stop
+
+
+def _drain(queue: int) -> None:
+    """Claim every session left, so that after an error no process starts
+    training one that the scenario will never use."""
+    while _next_session(queue):
+        pass
+
+
+def _send_all(conn, outbox) -> None:
+    """Send each item put in ``outbox`` over ``conn``, until None."""
+    while (item := outbox.get()) is not None:
+        conn.send(item)
+
+
+def _train_share(conn, queue, first, train, stages, seeds, cfg, init) -> None:
+    """Worker body: fit session ``first``, then each session it claims, and
+    send (stage, (module, head)); on an error, send (stage, exception),
+    drain the queue and stop.  A thread sends, so the worker trains on
+    while a result waits for the parent to read it."""
+    outbox = SimpleQueue()
+    sender = threading.Thread(target=_send_all, args=(conn, outbox))
+    sender.start()
     try:
-        for ids, seed in jobs:
-            conn.send(_fit_session(train, ids, cfg, seed, init))
-    except Exception as exc:
-        conn.send(exc)
+        for b in _claims(first, queue):
+            try:
+                result = _fit_session(train, stages[b - 1], cfg, seeds[b - 1],
+                                      init)
+            except Exception as exc:
+                outbox.put((b, exc))
+                _drain(queue)
+                return
+            outbox.put((b, result))
     finally:
+        outbox.put(None)
+        sender.join()
         conn.close()
 
 
 @contextmanager
 def _session_workers(train, stages, seeds, cfg, init, workers: int):
-    """Train sessions b with (b - 1) % workers = k = 1 .. workers-1 in forked
-    process k; yields ``trained(b)``, their (module, head) in stage order.
+    """Yields ``trained(b)``, session b's (module, head), for b in stage
+    order, the sessions trained here and in ``workers - 1`` forked
+    processes; with one worker it yields None and nothing starts.
 
-    Each child inherits the inputs through ``fork``, so nothing is pickled
-    on the way in, and sends its results back over its own pipe.  The
-    parent closes its copy of each pipe's write end, so a child that dies
-    leaves end of file, not a blocked read: ``trained`` raises
-    ``RuntimeError``.  A child's exception is raised again in the parent.
-    No child outlives the block.
+    This process starts on session 1 and worker k on session k + 1.  The
+    other sessions wait in a queue, a pipe of stage-number tokens written
+    before any worker starts, and each process claims the next one whenever
+    it is free: ``trained(b)`` trains claimed sessions here until b is done,
+    then waits for the workers.  So a worker whose CPU is taken by other
+    work trains fewer sessions rather than holding up the scenario.  A
+    default pipe holds 16,384 tokens; this process trains any sessions past
+    those itself once the queue is empty.  Each child inherits the inputs
+    through ``fork``, so nothing is pickled on the way in, and sends its
+    results back over its own pipe.  A failed fit drains the queue, and its
+    exception is raised again at its stage.  The parent closes its copy of
+    each pipe's write end, so a child that dies leaves end of file, not a
+    blocked read: a session that no process is left to deliver raises
+    ``RuntimeError``.  No child outlives the block.
     """
+    if workers == 1:
+        yield None
+        return
     ctx = multiprocessing.get_context("fork")
+    queue, queue_end = os.pipe()
+    left_out = _fill_queue(queue_end, range(workers + 1, len(stages) + 1))
+    os.close(queue_end)  # so an empty queue reads as end of file
+    claims = chain(_claims(1, queue), range(left_out, len(stages) + 1))
     procs, conns = [], []
+    live = []  # the pipes in conns not yet at end of file
+    done: dict = {}
+
+    def collect(timeout):
+        """Take in what the workers have sent, waiting up to ``timeout``."""
+        for conn in wait(live, timeout):
+            try:
+                c, result = conn.recv()
+            except EOFError:
+                live.remove(conn)
+            else:
+                done[c] = result
 
     def trained(b: int):
-        k = (b - 1) % workers
-        try:
-            result = conns[k - 1].recv()
-        except EOFError:
-            procs[k - 1].join()
-            raise RuntimeError(f"training worker exited with code "
-                               f"{procs[k - 1].exitcode}") from None
+        nonlocal claims
+        collect(0)
+        while b not in done:
+            c = next(claims, 0)
+            if c:
+                try:
+                    done[c] = _fit_session(train, stages[c - 1], cfg,
+                                           seeds[c - 1], init)
+                except Exception as exc:
+                    done[c] = exc
+                    claims = iter(())
+                    _drain(queue)
+                collect(0)
+            elif live:
+                collect(None)
+            else:  # the worker that held session b died
+                for p in procs:
+                    p.join()
+                code = next((p.exitcode for p in procs if p.exitcode), None)
+                raise RuntimeError(f"training worker exited with code {code}")
+        result = done.pop(b)
         if isinstance(result, Exception):
             raise result
         return result
 
     try:
         for k in range(1, workers):
-            jobs = [(ids, seeds[i])
-                    for i, ids in enumerate(stages) if i % workers == k]
             conn, child_end = ctx.Pipe(duplex=False)
             conns.append(conn)
-            procs.append(ctx.Process(target=_train_share, daemon=True,
-                                     args=(child_end, train, jobs, cfg, init)))
+            live.append(conn)
+            procs.append(ctx.Process(
+                target=_train_share, daemon=True,
+                args=(child_end, queue, k + 1, train, stages, seeds, cfg,
+                      init)))
             procs[-1].start()
             child_end.close()
         yield trained
@@ -571,6 +675,7 @@ def _session_workers(train, stages, seeds, cfg, init, workers: int):
             p.join()
         for conn in conns:
             conn.close()
+        os.close(queue)
 
 
 def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
@@ -591,12 +696,13 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     the CPUs in ``os.sched_getaffinity`` and at most the stage count.  This
     process checks every stage first (raising the ``ValueError`` that
     ``train_session`` would), draws the shared init, then forks N - 1
-    workers.  It trains sessions 1, N + 1, 2N + 1, ... itself and reads the
-    others' (module, head) from their workers in stage order, evaluating
-    each stage as before.  The results are identical to the serial loop,
-    and a failure reads the same whichever process met it.  A worker that
-    dies raises ``RuntimeError`` naming the stage, and no worker outlives
-    the call.  With one CPU no process starts.
+    workers.  It trains session 1 and worker k session k + 1; after that
+    every process takes the next session from a shared queue when it is
+    free, and this process evaluates each stage in order as before.  The
+    results are identical to the serial loop whichever process trained
+    each session, and a failure reads the same whichever process met it.
+    A worker that dies raises ``RuntimeError`` naming the stage, and no
+    worker outlives the call.  With one CPU no process starts.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -632,7 +738,7 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
                               workers) as trained:
             for b, classes in enumerate(splits.stages, start=1):
                 with _naming_stage(method, f"stage {b}"):
-                    if (b - 1) % workers == 0:
+                    if trained is None:
                         train_session(bank, train, classes, cfg,
                                       stage_seeds[b - 1], init=init)
                     else:

@@ -213,3 +213,87 @@ def test_worker_count(cpus, monkeypatch):
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True,
                         raising=False)
     assert engine._worker_count(10) == 1
+
+
+def test_a_slow_worker_leaves_its_queue_share_to_the_parent(
+        cpus, monkeypatch, tmp_path):
+    # the worker's first session waits until this process has trained four,
+    # so this process must take sessions 3 to 5 from the queue itself
+    train, test, splits = _inputs(10, 0)
+    cpus(1)
+    serial = _outputs(run_scenario(train, test, splits, "tosca", _FAST, 11),
+                      tmp_path / "serial.lbk")
+
+    parent = os.getpid()
+    fit = engine._fit_session
+    four_done = multiprocessing.get_context("fork").Event()
+    mine = []
+
+    def fit_after_four(train, ids, *args, **kwargs):
+        if os.getpid() == parent:
+            mine.append(ids)
+            if len(mine) == 4:
+                four_done.set()
+        elif not four_done.wait(30):
+            raise TimeoutError("this process did not take the queue")
+        return fit(train, ids, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_fit_session", fit_after_four)
+    cpus(2)
+    forked = _outputs(run_scenario(train, test, splits, "tosca", _FAST, 11),
+                      tmp_path / "forked.lbk")
+    assert mine == [tuple(sorted(splits.stages[b])) for b in (0, 2, 3, 4)]
+    assert forked == serial
+
+
+def test_a_queue_longer_than_its_pipe_hands_out_every_session_once(
+        monkeypatch, tmp_path):
+    # more workers than CPUs and more tokens than a pipe holds: this
+    # process trains the sessions left out of the pipe itself
+    n = 20_000
+    stages = [(b,) for b in range(1, n + 1)]
+    seeds = list(range(n))
+    log = tmp_path / "fits"
+
+    def fit(train, ids, cfg, seed, init):
+        with open(log, "a") as fh:  # appends of one short line are atomic
+            fh.write(f"{ids[0]}\n")
+        return ids, seed, os.getpid()
+
+    monkeypatch.setattr(engine, "_fit_session", fit)
+    with engine._session_workers(None, stages, seeds, None, None,
+                                 4) as trained:
+        got = [trained(b) for b in range(1, n + 1)]
+    assert [g[:2] for g in got] == list(zip(stages, seeds))
+    assert sorted(int(b) for b in log.read_text().split()) == list(
+        range(1, n + 1))
+    assert len({g[2] for g in got}) == 4
+    assert got[-1][2] == os.getpid()
+
+
+def test_a_slow_parent_leaves_the_queue_to_its_worker(cpus, monkeypatch,
+                                                      tmp_path):
+    # session 1 waits until the worker has taken session 3 from the queue
+    train, test, splits = _inputs(6, 0)
+    cpus(1)
+    serial = _outputs(run_scenario(train, test, splits, "tosca", _FAST, 11),
+                      tmp_path / "serial.lbk")
+
+    parent = os.getpid()
+    fit = engine._fit_session
+    third = tuple(sorted(splits.stages[2]))
+    taken = multiprocessing.get_context("fork").Event()
+
+    def fit_after_third(train, ids, *args, **kwargs):
+        if os.getpid() != parent:
+            if ids == third:
+                taken.set()
+        elif not taken.wait(30):
+            raise TimeoutError("the worker did not take the queue")
+        return fit(train, ids, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_fit_session", fit_after_third)
+    cpus(2)
+    forked = _outputs(run_scenario(train, test, splits, "tosca", _FAST, 11),
+                      tmp_path / "forked.lbk")
+    assert forked == serial
