@@ -14,11 +14,12 @@ the rows through stage b and the older sessions on stage b's new rows only,
 so with equal stages stage b costs 2b - 1 stage-sized forwards, not b**2.
 A session depends only on its own rows, so a scenario trains its sessions
 in up to N processes, N the CPUs this process may run on (at most one per
-stage): this process and N - 1 forked workers each take the next session
-from a shared queue whenever they are free, so a process slowed by other
-load trains fewer, and this process evaluates every stage in order.
-Reports and banks are bit-identical to the serial loop, which one CPU runs
-as before.
+stage).  This process and N - 1 forked workers run one loop: fit a first
+session, then claim the next stage number from a shared counter, which has
+no length limit, whenever free, so a process slowed by other load trains
+fewer; this process evaluates every stage in order.  One CPU runs the same
+loop, counting in process, and starts no process.  Reports and banks do
+not depend on N.
 Baselines share the harness: sequential finetuning of a single module with a
 growing head, joint training on all classes at once (scored once, sliced per
 stage), and a prototype classifier with no training at all.
@@ -50,13 +51,15 @@ float32 weights; ``train_epochs`` refuses float64 ones.
 from __future__ import annotations
 
 import copy
+import fcntl
 import multiprocessing
 import os
 import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from functools import partial
+from itertools import count
 from multiprocessing.connection import wait
 from queue import SimpleQueue
 from time import perf_counter
@@ -194,20 +197,18 @@ def _session_ids(train: FeatureDataset, class_ids, taken: set,
 
 
 def _fit_session(train: FeatureDataset, ids: tuple, cfg: ScenarioConfig,
-                 seed: int, init: LucaModule | None = None,
-                 init_seed: int | None = None):
+                 seed: int, init: LucaModule | None = None):
     """(module, head) trained on the rows of the classes ``ids``.
 
-    ``train_session`` and every process of a scenario's session queue fit
-    through here.  The module is a copy of ``init`` or, without one, drawn
-    from ``init_seed`` (by default the first of ``derive_seeds(seed, 2)``).
+    ``train_session`` and every process of a scenario fit through here.  The
+    module is a copy of ``init`` or, without one, drawn from the first of
+    ``derive_seeds(seed, 2)``.
     """
     derived_init, shuffle_seed = derive_seeds(seed, 2)
     if init is not None:
         module = copy.deepcopy(init)  # training writes in place
     else:
-        module = init_luca(train.d, cfg.r, cfg.luca_config(),
-                           derived_init if init_seed is None else init_seed)
+        module = init_luca(train.d, cfg.r, cfg.luca_config(), derived_init)
     head = make_head(train.d, ids)
     train_epochs(module, head, train.subset(ids), cfg.optim,
                  Xoshiro256StarStar(shuffle_seed))
@@ -216,7 +217,6 @@ def _fit_session(train: FeatureDataset, ids: tuple, cfg: ScenarioConfig,
 
 def train_session(bank: ModuleBank, train: FeatureDataset, class_ids,
                   cfg: ScenarioConfig, seed: int,
-                  init_seed: int | None = None,
                   init: LucaModule | None = None) -> ModuleBank:
     """Fit a fresh module + head on one session's classes and bank it.
 
@@ -227,22 +227,20 @@ def train_session(bank: ModuleBank, train: FeatureDataset, class_ids,
     through what they were trained on; parameter-space comparisons between
     sessions then measure training, not init noise.  It draws that init
     once and passes it as ``init``, which is copied, never trained in
-    place; ``init_seed`` draws it here instead.  Give at most one of them.
+    place.
 
     A session depends only on its own rows, the config, the seed and the
-    init.  So ``run_scenario`` trains a scenario's sessions in up to N
-    processes, N the CPUs it may run on, through the same fit as this call,
-    and banks weights identical to calling this for each session in turn.
+    init.  So ``run_scenario`` fits a scenario's sessions through the same
+    fit as this call, in up to N processes at N CPUs and in this process
+    alone at one, and banks weights identical to calling this for each
+    session in turn.
     """
     ids = _session_ids(train, class_ids, set(bank.class_ids),
                        bank.feature_dim)
-    if init is not None:
-        if init_seed is not None:
-            raise ValueError("give init_seed or init, not both")
-        if (init.d, init.r, init.config) != (bank.feature_dim, cfg.r,
-                                             cfg.luca_config()):
-            raise ValueError("init does not match the bank and config")
-    module, head = _fit_session(train, ids, cfg, seed, init, init_seed)
+    if init is not None and (init.d, init.r, init.config) != (
+            bank.feature_dim, cfg.r, cfg.luca_config()):
+        raise ValueError("init does not match the bank and config")
+    module, head = _fit_session(train, ids, cfg, seed, init)
     bank.append(BankEntry(session_index=len(bank) + 1, module=module,
                           head=head))
     return bank
@@ -308,15 +306,17 @@ def pick_sessions(entropies: np.ndarray, classes: np.ndarray, counts,
 
     ``entropies`` and ``classes`` are (S, n) raw nats and argmax class ids,
     ``counts`` the sessions' class counts.  When ``normalize_entropy`` is
-    set and the counts differ, a session scores entropy / ln K (0 when
-    K = 1) instead of raw entropy.  Ties go to the lowest session.
+    set and the counts differ, a session scores entropy / ln K instead of
+    raw entropy.  Ties go to the lowest session.  A session of one class
+    has entropy 0 on every row, raw or normalised, so it would take every
+    row: among other sessions it is refused with a ``ValueError``.
     """
+    if len(counts) > 1 and 1 in counts:
+        raise ValueError(f"session {list(counts).index(1) + 1} has one "
+                         f"class, so entropy routing would send it every row")
     scores = entropies
     if normalize_entropy and len(set(counts)) > 1:
-        scores = np.zeros_like(entropies)
-        for i, k in enumerate(counts):
-            if k > 1:
-                scores[i] = entropies[i] / np.log(k)
+        scores = np.stack([h / np.log(k) for h, k in zip(entropies, counts)])
     chosen = np.argmin(scores, axis=0)  # first min = lowest session
     return classes[chosen, np.arange(entropies.shape[1])], chosen + 1
 
@@ -512,49 +512,45 @@ def _naming_stage(method: str, stage: str):
 def _worker_count(stages: int) -> int:
     """Processes to train a scenario's sessions in: one per CPU this process
     may run on, at most one per stage.  Without CPU affinity (no ``fork``
-    either) or inside a daemonic process, which may not start children, it
-    is 1."""
+    either) or ``os.memfd_create`` (for the session counter), or inside a
+    daemonic process, which may not start children, it is 1."""
     if (not hasattr(os, "sched_getaffinity")
+            or not hasattr(os, "memfd_create")
             or multiprocessing.current_process().daemon):
         return 1
     return min(len(os.sched_getaffinity(0)), stages)
 
 
-def _next_session(queue: int) -> int:
-    """Claim the next session from the queue pipe: its stage number, or 0
-    once every session is claimed.  A token is one 4-byte read, and the
-    kernel serialises reads from a pipe, so no two processes claim the same
-    session, and a process that dies cannot block the others."""
-    return int.from_bytes(os.read(queue, 4), "little")
+def _claim(counter: int) -> int:
+    """Claim the next session: read the stage number in the 8-byte counter
+    file and store the one after it, under an exclusive lock.  The kernel
+    drops a POSIX record lock when its holder dies, so a process killed
+    while claiming cannot block the others."""
+    fcntl.lockf(counter, fcntl.LOCK_EX)
+    try:
+        b = int.from_bytes(os.pread(counter, 8, 0), "little")
+        os.pwrite(counter, (b + 1).to_bytes(8, "little"), 0)
+    finally:
+        fcntl.lockf(counter, fcntl.LOCK_UN)
+    return b
 
 
-def _claims(first: int, queue: int):
-    """Stage ``first``, then each session claimed from ``queue``."""
-    yield first
-    while b := _next_session(queue):
-        yield b
-
-
-def _fill_queue(queue_end: int, sessions: range) -> int:
-    """Write ``sessions``' tokens into the queue pipe while it has room and
-    return the first session left out.  Each write is at most PIPE_BUF
-    bytes, so it goes in whole or not at all."""
-    os.set_blocking(queue_end, False)
-    for start in range(sessions.start, sessions.stop, 1024):
-        stop = min(start + 1024, sessions.stop)
+def _fits(b, claim, train, stages, seeds, cfg, init):
+    """Yield (stage, (module, head)) for stage ``b``, then for each stage
+    ``claim()`` returns, until it passes the last.  A failed fit claims
+    every session left, yields (stage, exception) and stops, so that no
+    process starts a session the scenario will never use."""
+    while b <= len(stages):
         try:
-            os.write(queue_end, b"".join(b.to_bytes(4, "little")
-                                         for b in range(start, stop)))
-        except BlockingIOError:
-            return start
-    return sessions.stop
-
-
-def _drain(queue: int) -> None:
-    """Claim every session left, so that after an error no process starts
-    training one that the scenario will never use."""
-    while _next_session(queue):
-        pass
+            result = _fit_session(train, stages[b - 1], cfg, seeds[b - 1],
+                                  init)
+        except Exception as exc:
+            while claim() <= len(stages):
+                pass
+            yield b, exc
+            return
+        yield b, result
+        b = claim()
 
 
 def _send_all(conn, outbox) -> None:
@@ -563,24 +559,16 @@ def _send_all(conn, outbox) -> None:
         conn.send(item)
 
 
-def _train_share(conn, queue, first, train, stages, seeds, cfg, init) -> None:
-    """Worker body: fit session ``first``, then each session it claims, and
-    send (stage, (module, head)); on an error, send (stage, exception),
-    drain the queue and stop.  A thread sends, so the worker trains on
-    while a result waits for the parent to read it."""
+def _train_share(conn, fits) -> None:
+    """Worker body: send each (stage, result) of ``fits`` over ``conn``.  A
+    thread sends, so the worker trains on while a result waits for the
+    parent to read it."""
     outbox = SimpleQueue()
     sender = threading.Thread(target=_send_all, args=(conn, outbox))
     sender.start()
     try:
-        for b in _claims(first, queue):
-            try:
-                result = _fit_session(train, stages[b - 1], cfg, seeds[b - 1],
-                                      init)
-            except Exception as exc:
-                outbox.put((b, exc))
-                _drain(queue)
-                return
-            outbox.put((b, result))
+        for item in fits:
+            outbox.put(item)
     finally:
         outbox.put(None)
         sender.join()
@@ -591,31 +579,24 @@ def _train_share(conn, queue, first, train, stages, seeds, cfg, init) -> None:
 def _session_workers(train, stages, seeds, cfg, init, workers: int):
     """Yields ``trained(b)``, session b's (module, head), for b in stage
     order, the sessions trained here and in ``workers - 1`` forked
-    processes; with one worker it yields None and nothing starts.
+    processes.
 
-    This process starts on session 1 and worker k on session k + 1.  The
-    other sessions wait in a queue, a pipe of stage-number tokens written
-    before any worker starts, and each process claims the next one whenever
-    it is free: ``trained(b)`` trains claimed sessions here until b is done,
-    then waits for the workers.  So a worker whose CPU is taken by other
-    work trains fewer sessions rather than holding up the scenario.  A
-    default pipe holds 16,384 tokens; this process trains any sessions past
-    those itself once the queue is empty.  Each child inherits the inputs
-    through ``fork``, so nothing is pickled on the way in, and sends its
-    results back over its own pipe.  A failed fit drains the queue, and its
-    exception is raised again at its stage.  The parent closes its copy of
-    each pipe's write end, so a child that dies leaves end of file, not a
-    blocked read: a session that no process is left to deliver raises
-    ``RuntimeError``.  No child outlives the block.
+    Every process runs ``_fits``: this process starts on session 1 and
+    worker k on session k + 1, and each claims the next stage number
+    whenever it is free, so a worker whose CPU is taken by other work
+    trains fewer sessions rather than holding up the scenario.
+    ``trained(b)`` fits here until b is done, then waits for the workers.
+    With one worker the claims count in process and nothing starts; with
+    more they come from ``_claim`` on an anonymous counter file, which has
+    no length limit.  Each child inherits the inputs through ``fork``, so
+    nothing is pickled on the way in, and sends its results back over its
+    own pipe.  A failed fit's exception is raised again at its stage.  The
+    parent closes its copy of each pipe's write end, so a child that dies
+    leaves end of file, not a blocked read: a session that no process is
+    left to deliver raises ``RuntimeError``.  No child outlives the block.
     """
-    if workers == 1:
-        yield None
-        return
     ctx = multiprocessing.get_context("fork")
-    queue, queue_end = os.pipe()
-    left_out = _fill_queue(queue_end, range(workers + 1, len(stages) + 1))
-    os.close(queue_end)  # so an empty queue reads as end of file
-    claims = chain(_claims(1, queue), range(left_out, len(stages) + 1))
+    counter = os.memfd_create("sessions") if workers > 1 else None
     procs, conns = [], []
     live = []  # the pipes in conns not yet at end of file
     done: dict = {}
@@ -631,18 +612,11 @@ def _session_workers(train, stages, seeds, cfg, init, workers: int):
                 done[c] = result
 
     def trained(b: int):
-        nonlocal claims
         collect(0)
         while b not in done:
-            c = next(claims, 0)
-            if c:
-                try:
-                    done[c] = _fit_session(train, stages[c - 1], cfg,
-                                           seeds[c - 1], init)
-                except Exception as exc:
-                    done[c] = exc
-                    claims = iter(())
-                    _drain(queue)
+            fit = next(fits, None)
+            if fit:
+                done[fit[0]] = fit[1]
                 collect(0)
             elif live:
                 collect(None)
@@ -657,14 +631,19 @@ def _session_workers(train, stages, seeds, cfg, init, workers: int):
         return result
 
     try:
+        if counter is not None:
+            os.pwrite(counter, (workers + 1).to_bytes(8, "little"), 0)
+        claim = (count(2).__next__ if counter is None
+                 else partial(_claim, counter))
+        share = partial(_fits, claim=claim, train=train, stages=stages,
+                        seeds=seeds, cfg=cfg, init=init)
+        fits = share(1)
         for k in range(1, workers):
             conn, child_end = ctx.Pipe(duplex=False)
             conns.append(conn)
             live.append(conn)
-            procs.append(ctx.Process(
-                target=_train_share, daemon=True,
-                args=(child_end, queue, k + 1, train, stages, seeds, cfg,
-                      init)))
+            procs.append(ctx.Process(target=_train_share, daemon=True,
+                                     args=(child_end, share(k + 1))))
             procs[-1].start()
             child_end.close()
         yield trained
@@ -673,9 +652,11 @@ def _session_workers(train, stages, seeds, cfg, init, workers: int):
             p.terminate()
         for p in procs:
             p.join()
+            p.close()  # its sentinel pipe now, not when it is collected
         for conn in conns:
             conn.close()
-        os.close(queue)
+        if counter is not None:
+            os.close(counter)
 
 
 def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
@@ -697,12 +678,12 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     process checks every stage first (raising the ``ValueError`` that
     ``train_session`` would), draws the shared init, then forks N - 1
     workers.  It trains session 1 and worker k session k + 1; after that
-    every process takes the next session from a shared queue when it is
-    free, and this process evaluates each stage in order as before.  The
-    results are identical to the serial loop whichever process trained
-    each session, and a failure reads the same whichever process met it.
-    A worker that dies raises ``RuntimeError`` naming the stage, and no
-    worker outlives the call.  With one CPU no process starts.
+    every process claims the next session from a shared counter when it is
+    free, and this process evaluates each stage in order.  One CPU runs the
+    same loop in this process and starts none.  The results do not depend
+    on which process trained each session, and a failure reads the same
+    whichever process met it.  A worker that dies raises ``RuntimeError``
+    naming the stage, and no worker outlives the call.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -733,18 +714,13 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
         bank = ModuleBank(d)
         scores = SessionScores(test.labels)
         init = init_luca(d, cfg.r, cfg.luca_config(), shared_init)
-        workers = _worker_count(B)
         with _session_workers(train, session_ids, stage_seeds, cfg, init,
-                              workers) as trained:
+                              _worker_count(B)) as trained:
             for b, classes in enumerate(splits.stages, start=1):
                 with _naming_stage(method, f"stage {b}"):
-                    if trained is None:
-                        train_session(bank, train, classes, cfg,
-                                      stage_seeds[b - 1], init=init)
-                    else:
-                        module, head = trained(b)
-                        bank.append(BankEntry(session_index=b, module=module,
-                                              head=head))
+                    module, head = trained(b)
+                bank.append(BankEntry(session_index=b, module=module,
+                                      head=head))
                 ev = evaluate_stage(bank,
                                     test.subset(splits.classes_through(b)),
                                     cfg.normalize_entropy, scores)
@@ -760,9 +736,9 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
             ds = train.subset(ids)
             if ds.n == 0:
                 raise ValueError("empty session data")
-            init_seed, shuffle_seed = derive_seeds(stage_seeds[b - 1], 2)
+            module_seed, shuffle_seed = derive_seeds(stage_seeds[b - 1], 2)
             if module is None:
-                module = init_luca(d, cfg.r, cfg.luca_config(), init_seed)
+                module = init_luca(d, cfg.r, cfg.luca_config(), module_seed)
                 head = make_head(d, ids)
                 params.append(param_count(d, cfg.r) + d * len(ids))
             else:
@@ -783,8 +759,8 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
         ds = train.subset(all_ids)
         if ds.n == 0:
             raise ValueError("empty session data")
-        init_seed, shuffle_seed = derive_seeds(stage_seeds[0], 2)
-        module = init_luca(d, cfg.r, cfg.luca_config(), init_seed)
+        module_seed, shuffle_seed = derive_seeds(stage_seeds[0], 2)
+        module = init_luca(d, cfg.r, cfg.luca_config(), module_seed)
         head = make_head(d, all_ids)
         with _naming_stage(method, f"stages 1-{B}"):
             train_epochs(module, head, ds, cfg.optim,

@@ -148,7 +148,7 @@ def test_shared_init_seed_contract():
     seeds = derive_seeds(101, splits.num_stages + 1)
     manual = ModuleBank(16)
     train_session(manual, train, splits.stages[0], _FAST, seeds[0],
-                  init_seed=seeds[-1])
+                  init=init_luca(16, _FAST.r, _FAST.luca_config(), seeds[-1]))
     assert entry_checksum(manual.entries[0]) == entry_checksum(bank.entries[0])
     # all sessions share that init: fresh modules from it are identical
     a = init_luca(16, _FAST.r, _FAST.luca_config(), seeds[-1])
@@ -172,14 +172,6 @@ def test_training_from_a_shared_init_leaves_it_untouched():
                  (trained[0], trained[1])):
         for x, y in zip(a.matrices(), b.matrices()):
             assert not np.shares_memory(x, y)
-    # a copied init trains exactly like one drawn from its seed
-    by_seed = ModuleBank(16)
-    train_session(by_seed, train, (0, 1), _FAST, seed=5, init_seed=42)
-    assert (entry_checksum(by_seed.entries[0])
-            == entry_checksum(bank.entries[0]))
-    with pytest.raises(ValueError, match="not both"):
-        train_session(ModuleBank(16), train, (0, 1), _FAST, seed=5,
-                      init_seed=42, init=init)
     for other in (init_luca(16, 4, _FAST.luca_config()),
                   init_luca(16, _FAST.r, LucaConfig(reversed=True))):
         with pytest.raises(ValueError, match="init does not match"):
@@ -299,16 +291,16 @@ def test_batch_predict_matches_single_on_trained_bank():
 
 
 def test_route_matches_the_reference_softmax_and_entropy():
-    # a trained bank with a K = 1 session, plus a hand-built session whose
-    # head saturates the softmax on the last row
+    # a trained bank with sessions of K = 3 and 2, plus a hand-built session
+    # whose head saturates the softmax on the last row
     train, test = synth_gaussian(d=16, num_classes=5, n_train=40, n_test=20,
                                  separation=138.0, sigma=23.0, seed=3)
     bank = ModuleBank(16)
-    for b, ids in enumerate([(0,), (1, 2), (3, 4)]):
+    for b, ids in enumerate([(0, 1, 2), (3, 4)]):
         train_session(bank, train, ids, _FAST, seed=40 + b)
     sharp = np.zeros((16, 3), dtype=np.float32)
     sharp[0, 0] = 1000.0
-    bank.append(BankEntry(session_index=4,
+    bank.append(BankEntry(session_index=3,
                           module=_identity_module(16, r=_FAST.r),
                           head=SessionHead(class_ids=(7, 8, 9), w=sharp)))
     Z = np.concatenate([test.features.astype(np.float64),
@@ -325,13 +317,40 @@ def test_route_matches_the_reference_softmax_and_entropy():
             h = oracle.shannon_entropy(want)
             assert abs(r.entropies[i, j] - h) <= 1e-12
             assert 0.0 <= r.entropies[i, j] <= math.log(k) + 1e-12
-    # K = 1: every row is certain
+    # logits [5000, 0, 0]: exactly one-hot, entropy exactly 0.0 (not -0.0)
+    assert r.probs[2][-1].tolist() == [1.0, 0.0, 0.0]
+    assert math.copysign(1.0, r.entropies[2, -1]) == 1.0
+    assert r.entropies[2, -1] == 0.0
+    # K = 1 on its own: every row is certain, and its one class is chosen
+    alone = ModuleBank(16)
+    train_session(alone, train, (0,), _FAST, seed=40)
+    r = route(Z, alone)
     assert np.array_equal(r.probs[0], np.ones((Z.shape[0], 1)))
     assert r.entropies[0].tolist() == [0.0] * Z.shape[0]
-    # logits [5000, 0, 0]: exactly one-hot, entropy exactly 0.0 (not -0.0)
-    assert r.probs[3][-1].tolist() == [1.0, 0.0, 0.0]
-    assert math.copysign(1.0, r.entropies[3, -1]) == 1.0
-    assert r.entropies[3, -1] == 0.0
+    assert r.classes.tolist() == [0] * Z.shape[0]
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_a_one_class_session_among_others_is_refused(normalize):
+    # entropy 0 on every row, raw or normalised, would take every row
+    train, test = synth_gaussian(d=16, num_classes=7, n_train=40, n_test=20,
+                                 separation=138.0, sigma=23.0, seed=3)
+    message = "^session 3 has one class, so entropy routing would send it"
+    bank = ModuleBank(16)
+    for b, ids in enumerate([(0, 1), (2, 3), (4,)]):
+        train_session(bank, train, ids, _FAST, seed=40 + b)
+    for call in (lambda: route(test.features, bank, normalize),
+                 lambda: predict(test.features[0], bank, normalize),
+                 lambda: predict_batch(test.features, bank, normalize),
+                 lambda: evaluate_stage(bank, test.subset(range(5)),
+                                        normalize)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # in a scenario, at the first stage where it meets another session
+    splits = make_splits(range(7), 1, 2, seed=1993)  # K = 1, 2, 2, 2
+    cfg = replace(_FAST, normalize_entropy=normalize)
+    with pytest.raises(ValueError, match="^session 1 has one class"):
+        run_scenario(train, test, splits, "tosca", cfg, seed=11)
 
 
 def test_appending_a_duplicate_module_changes_nothing():
@@ -610,7 +629,6 @@ def _bank_through(bank, b):
 
 @pytest.mark.parametrize("num_classes,base,normalize", [
     (9, 3, True),  # K = 3, 2, 2, 2: the normalised branch
-    (7, 1, True),  # K = 1 first: entropy 0, ties go to the lowest session
     (9, 3, False),
 ])
 def test_cached_stage_metrics_match_per_stage_routing(num_classes, base,
@@ -833,8 +851,8 @@ def _trained_bank(train, cfg, sessions):
 
 def test_bank_round_trip(tmp_path):
     train, test, _ = _small_scenario(num_classes=8)
-    # sessions of K = 1, 3 and 2, so routing normalises the entropies
-    bank = _trained_bank(train, _FAST, ((0,), (1, 2, 3), (4, 5)))
+    # sessions of K = 3 and 2, so routing normalises the entropies
+    bank = _trained_bank(train, _FAST, ((0, 1, 2), (3, 4)))
     p = tmp_path / "bank.luca"
     save_bank(bank, p)
     back = load_bank(p, config=_FAST.luca_config())
@@ -861,6 +879,12 @@ def test_bank_round_trip(tmp_path):
     assert back.entries[-1].module.w_down.dtype == np.float32
     assert entry_checksum(back.entries[-1]) == entry_checksum(bank.entries[-1])
     _assert_routes_alike(bank, back, test.features)
+    # a one-class session, which routes only on its own, round-trips too
+    single = _trained_bank(train, _FAST, ((0,),))
+    save_bank(single, p)
+    back = load_bank(p, config=_FAST.luca_config())
+    assert entry_checksum(back.entries[0]) == entry_checksum(single.entries[0])
+    _assert_routes_alike(single, back, test.features)
 
 
 def test_a_loaded_module_does_not_train_as_init(tmp_path):
@@ -878,7 +902,7 @@ def test_a_loaded_module_does_not_train_as_init(tmp_path):
 
 def test_serving_a_loaded_bank_copies_no_weights(tmp_path, monkeypatch):
     train, test, _ = _small_scenario(num_classes=8)
-    save_bank(_trained_bank(train, _FAST, ((0,), (1, 2, 3), (4, 5))),
+    save_bank(_trained_bank(train, _FAST, ((0, 1, 2), (3, 4))),
               tmp_path / "bank.luca")
     bank = load_bank(tmp_path / "bank.luca", config=_FAST.luca_config())
     matrices = []

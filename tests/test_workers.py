@@ -4,10 +4,11 @@
 one process per CPU.  The CPU count is read from ``os.sched_getaffinity``,
 which these tests replace to choose the worker count.  With one worker no
 process starts; with several, reports and banks must not change by a bit,
-failures must read as they do in the serial loop, and no child may be left
-running.
+failures must read as they do with one, and no child, file or pipe may be
+left open.
 """
 
+import fcntl
 import multiprocessing
 import os
 import signal
@@ -25,12 +26,18 @@ from tosca.optim import OptimConfig
 _FAST = ScenarioConfig(r=8, optim=OptimConfig(epochs=8))
 
 
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Every case ends with no worker running, and none hangs."""
+    """Every case ends with no worker running and no descriptor left open
+    (where /proc shows them), and none hangs."""
     def stuck(signum, frame):
         raise TimeoutError("a scenario waited on its workers for 60 s")
 
+    fds = _open_fds() if os.path.isdir("/proc/self/fd") else None
     previous = signal.signal(signal.SIGALRM, stuck)
     signal.alarm(60)
     try:
@@ -39,6 +46,7 @@ def no_child_left():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
+    assert fds is None or _open_fds() == fds
 
 
 @pytest.fixture
@@ -81,7 +89,7 @@ def _outputs(rep, path):
 @pytest.mark.parametrize("num_classes,base,workers,normalize", [
     (2, 0, 2, True),  # B = 1: one stage takes one worker, whatever the CPUs
     (6, 0, 2, True),  # B = 3 with W = 2
-    (7, 1, 3, True),  # K = 1 first: entropy 0, ties to the lowest session
+    (9, 3, 3, True),  # K = 3, 2, 2, 2: normalised entropies, W = 3
     (9, 3, 2, False),  # raw entropies with unequal class counts
 ])
 @pytest.mark.parametrize("method", ["tosca", "tosca_r"])
@@ -199,6 +207,15 @@ def test_every_stage_is_checked_before_a_worker_starts(stages, message, cpus,
     assert started == []
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_one_class_session_is_refused_in_any_process(workers, cpus):
+    # K = 1, 2, 2, 2: session 1 would take every row from stage 2 on
+    train, test, splits = _inputs(7, 1)
+    cpus(workers)
+    with pytest.raises(ValueError, match="^session 1 has one class"):
+        run_scenario(train, test, splits, "tosca", _FAST, 11)
+
+
 def test_a_session_of_another_width_is_refused():
     train, _, _ = _inputs(6, 0)
     with pytest.raises(ValueError, match="dimension mismatch"):
@@ -210,6 +227,9 @@ def test_worker_count(cpus, monkeypatch):
     assert engine._worker_count(10) == 4
     assert engine._worker_count(3) == 3
     assert engine._worker_count(1) == 1
+    with monkeypatch.context() as m:
+        m.delattr(os, "memfd_create")
+        assert engine._worker_count(10) == 1
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True,
                         raising=False)
     assert engine._worker_count(10) == 1
@@ -248,8 +268,8 @@ def test_a_slow_worker_leaves_its_queue_share_to_the_parent(
 
 def test_a_queue_longer_than_its_pipe_hands_out_every_session_once(
         monkeypatch, tmp_path):
-    # more workers than CPUs and more tokens than a pipe holds: this
-    # process trains the sessions left out of the pipe itself
+    # more workers than CPUs, and more sessions than a default pipe holds
+    # as 4-byte tokens: the counter has no such limit
     n = 20_000
     stages = [(b,) for b in range(1, n + 1)]
     seeds = list(range(n))
@@ -268,7 +288,32 @@ def test_a_queue_longer_than_its_pipe_hands_out_every_session_once(
     assert sorted(int(b) for b in log.read_text().split()) == list(
         range(1, n + 1))
     assert len({g[2] for g in got}) == 4
-    assert got[-1][2] == os.getpid()
+
+
+def test_a_process_killed_while_claiming_blocks_no_one():
+    # a child takes the claim lock and dies holding it; the kernel drops a
+    # POSIX record lock with its holder, so the next claim goes through
+    counter = os.memfd_create("sessions")
+    try:
+        os.pwrite(counter, (5).to_bytes(8, "little"), 0)
+        locked, child_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: lock, say so, wait to be killed
+            fcntl.lockf(counter, fcntl.LOCK_EX)
+            os.write(child_end, b"x")
+            time.sleep(120)
+            os._exit(1)
+        os.close(child_end)
+        assert os.read(locked, 1) == b"x"
+        os.close(locked)
+        with pytest.raises(OSError):  # the child holds the lock
+            fcntl.lockf(counter, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        os.kill(pid, signal.SIGKILL)
+        assert os.waitpid(pid, 0)[1] == signal.SIGKILL
+        assert engine._claim(counter) == 5
+        assert engine._claim(counter) == 6
+    finally:
+        os.close(counter)
 
 
 def test_a_slow_parent_leaves_the_queue_to_its_worker(cpus, monkeypatch,
