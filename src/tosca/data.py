@@ -125,8 +125,10 @@ def synth_gaussian(d: int, num_classes: int, n_train: int, n_test: int,
 
     Three independent substreams of ``seed`` drive class means, train noise,
     and test noise, so the same seed always reproduces both splits and
-    resizing one split never disturbs the other.  Samples come out
-    class-major: all of class 0, then class 1, and so on.
+    resizing one split never disturbs the other.  Class c's mean is the
+    next block of d normals of stream 0 with a nonzero norm, scaled onto
+    the sphere.  Samples come out class-major: all of class 0, then class
+    1, and so on.
     """
     if d < 2 or num_classes < 2 or n_train < 1 or n_test < 1:
         raise ValueError("invalid parameters")
@@ -136,14 +138,16 @@ def synth_gaussian(d: int, num_classes: int, n_train: int, n_test: int,
     train_gen = Xoshiro256StarStar(seed, stream=1)
     test_gen = Xoshiro256StarStar(seed, stream=2)
 
-    means = np.empty((num_classes, d), dtype=np.float64)
-    for c in range(num_classes):
-        v = mean_gen.normals(d)
-        norm = float(np.linalg.norm(v))
-        while norm == 0.0:
-            v = mean_gen.normals(d)
+    # class c takes the next nonzero block of d normals; the first pass
+    # draws every class's block in one request
+    means = []
+    while len(means) < num_classes:
+        blocks = mean_gen.normals((num_classes - len(means)) * d)
+        for v in blocks.reshape(-1, d):
             norm = float(np.linalg.norm(v))
-        means[c] = v * (separation / norm)
+            if norm != 0.0:
+                means.append(v * (separation / norm))
+    means = np.array(means)
 
     def draw(gen, per_class):
         # one draw for the whole split: the stream is continuous across calls

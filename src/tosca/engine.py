@@ -300,6 +300,14 @@ def score_sessions(Z: np.ndarray, entries):
         yield P, h, ids[np.argmax(P, axis=1)]
 
 
+def _refuse_one_class(counts) -> None:
+    """Raise if one of several sessions has one class: its entropy is 0 on
+    every row, so routing would send it every row."""
+    if len(counts) > 1 and 1 in counts:
+        raise ValueError(f"session {list(counts).index(1) + 1} has one "
+                         f"class, so entropy routing would send it every row")
+
+
 def pick_sessions(entropies: np.ndarray, classes: np.ndarray, counts,
                   normalize_entropy: bool = True):
     """Per row, the least-entropy session of S: (class ids, 1-based sessions).
@@ -311,9 +319,7 @@ def pick_sessions(entropies: np.ndarray, classes: np.ndarray, counts,
     has entropy 0 on every row, raw or normalised, so it would take every
     row: among other sessions it is refused with a ``ValueError``.
     """
-    if len(counts) > 1 and 1 in counts:
-        raise ValueError(f"session {list(counts).index(1) + 1} has one "
-                         f"class, so entropy routing would send it every row")
+    _refuse_one_class(counts)
     scores = entropies
     if normalize_entropy and len(set(counts)) > 1:
         scores = np.stack([h / np.log(k) for h, k in zip(entropies, counts)])
@@ -676,7 +682,8 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     ``tosca`` and ``tosca_r`` train their sessions in up to N processes, N
     the CPUs in ``os.sched_getaffinity`` and at most the stage count.  This
     process checks every stage first (raising the ``ValueError`` that
-    ``train_session`` would), draws the shared init, then forks N - 1
+    ``train_session`` would, or that ``pick_sessions`` would for a session
+    of one class among several), draws the shared init, then forks N - 1
     workers.  It trains session 1 and worker k session k + 1; after that
     every process claims the next session from a shared counter when it is
     free, and this process evaluates each stage in order.  One CPU runs the
@@ -711,6 +718,7 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
         for classes in splits.stages:  # every stage, before any worker
             session_ids.append(_session_ids(train, classes, taken, d))
             taken.update(session_ids[-1])
+        _refuse_one_class([len(ids) for ids in session_ids])
         bank = ModuleBank(d)
         scores = SessionScores(test.labels)
         init = init_luca(d, cfg.r, cfg.luca_config(), shared_init)

@@ -17,15 +17,19 @@ it); any port to another language must reproduce it bit for bit.
 * Shuffles: Fisher-Yates from the top index down with ``j = below(i + 1)``.
 
 How a request is computed does not change the stream.  Requests for fewer
-than ``_BULK_MIN`` (65,536) raw words run the scalar loop, which steps the
-state in Python and scrambles the collected words in numpy.  Larger ones run
-the bulk path: the state update is linear over GF(2), so ``T**k s`` is the
-XOR of ``T**i s`` over the set bits i of ``x**k mod p``, where p is the
-update's degree-256 characteristic polynomial (``_CHARPOLY``).  The bulk path
-starts up to 2,048 lanes ``_LANE`` words apart, steps them in lock-step with
-numpy ``uint64`` operations, and reads each block of ``_BLOCK`` words out
-lane-major; between blocks every lane jumps ``_BLOCK - _LANE`` steps.  Only
-the output array grows with the request.
+than ``_BULK_MIN`` (12,000) raw words, where the two paths were measured to
+cost the same, run the scalar loop, which steps the state in Python and
+scrambles the collected words in numpy.  Larger ones run the bulk path: the
+state update is linear over GF(2), so ``T**k s`` is the XOR of ``T**i s``
+over the set bits i of ``x**k mod p``, where p is the update's degree-256
+characteristic polynomial (``_CHARPOLY``).  The bulk path splits
+a request of n words into up to 2,048 lanes of ``per`` words each, per even:
+lane i makes words ``i * per`` on, so only the last lane may run past n.
+Two jump rounds place every lane, whatever n is.  The lanes then step
+together with numpy ``uint64`` operations, ``_CHUNK`` steps at a time, and
+each chunk is written to the output viewed as (lanes, per).  Normals pair
+two consecutive words of one lane, so Box-Muller runs on each chunk and
+writes straight into the output.  Only the output grows with the request.
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 # Characteristic polynomial of the xoshiro256** state update over GF(2); bit
 # i is the coefficient of x**i.  Degree 256, 115 nonzero terms.
 _CHARPOLY = 0x10003C03C3F3ECB1904B4EDCF26259F850280002BCEFD1A5E9D116F2BB0F0F001
-_BULK_MIN = 1 << 16  # raw words; smaller requests run the scalar loop
-_LANE = 1 << 7  # words each lane produces per block
-_BLOCK = 1 << 18  # words per block: 2,048 lanes
+_BULK_MIN = 12_000  # raw words: the measured scalar/bulk crossover
+_LANES = 1 << 11  # most lanes a bulk request runs
+_CHUNK = 16  # steps the lanes take between writes to the output; even
 _RADIX = 64  # most lanes one jump round multiplies the lane count by
 
 _U = np.uint64
@@ -69,23 +73,63 @@ def derive_seeds(seed: int, count: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Jump-ahead.  A polynomial over GF(2) is an int, bit i the coefficient of x**i.
 
-def _polymul(a: int, b: int) -> int:
-    """a * b mod _CHARPOLY."""
-    c = 0
-    while b:
-        low = b & -b
-        c ^= a << (low.bit_length() - 1)
-        b ^= low
-    while c.bit_length() > 256:
-        c ^= _CHARPOLY << (c.bit_length() - 257)
+def _byte_table(bit) -> list:
+    """For each byte v, the XOR of ``bit(j)`` over the set bits j of v."""
+    table = [0]
+    for j in range(8):
+        e = bit(j)
+        table += [v ^ e for v in table]
+    return table
+
+
+def _fold_bit(j: int) -> int:
+    """x**(256 + j) plus its remainder mod _CHARPOLY."""
+    c = 1 << (256 + j)
+    for i in range(j, -1, -1):
+        if c >> (256 + i) & 1:
+            c ^= _CHARPOLY << i
+    return c | 1 << (256 + j)
+
+
+# _FOLD[t] << s, XORed into a product, clears the byte t at bit 256 + s and
+# adds t * x**(256 + s) mod _CHARPOLY; _SPREAD[v] is the square of v.
+_FOLD = _byte_table(_fold_bit)
+_SPREAD = _byte_table(lambda j: 1 << 2 * j)
+
+
+def _table(a: int) -> list:
+    """Byte table of a: entry v is a times v, unreduced."""
+    return _byte_table(lambda j: a << j)
+
+
+def _reduce(c: int) -> int:
+    """c mod _CHARPOLY, for c below 2**512, a byte at a time from the top."""
+    for shift in range(248, -1, -8):
+        c ^= _FOLD[c >> (256 + shift)] << shift
     return c
+
+
+def _polymul(table: list, b: int) -> int:
+    """a * b mod _CHARPOLY, where table is ``_table(a)``."""
+    c = 0
+    for byte in b.to_bytes(32, "big"):
+        c = c << 8 ^ table[byte]
+    return _reduce(c)
+
+
+def _square(a: int) -> int:
+    """a * a mod _CHARPOLY: bit i of a moves to bit 2i."""
+    c = 0
+    for byte in a.to_bytes(32, "big"):
+        c = c << 16 | _SPREAD[byte]
+    return _reduce(c)
 
 
 def _xpow(k: int) -> int:
     """x**k mod _CHARPOLY, the polynomial that jumps a state k steps."""
     r = 1
     for bit in format(k, "b"):
-        r = _polymul(r, r)
+        r = _square(r)
         if bit == "1":
             r <<= 1
             if r >> 256:
@@ -93,54 +137,85 @@ def _xpow(k: int) -> int:
     return r
 
 
-def _advance(s: np.ndarray, t: np.ndarray) -> None:
+def _advance(s: np.ndarray, t: np.ndarray, out: np.ndarray | None = None
+             ) -> None:
     """One xoshiro256** state update of every lane of s, a (4, m) uint64
-    array of state words; t is (m,) scratch."""
+    array of state words, into out (s itself by default); t is (m,)
+    scratch."""
+    out = s if out is None else out
     np.left_shift(s[1], _U(17), out=t)
-    s[2:4] ^= s[0:2]  # s2 ^= s0, s3 ^= s1
-    s[1::-1] ^= s[2:4]  # s1 ^= s2, s0 ^= s3
-    s[2] ^= t
-    np.left_shift(s[3], _U(45), out=t)
-    s[3] >>= _U(19)
-    s[3] |= t
+    np.bitwise_xor(s[2:4], s[0:2], out=out[2:4])  # s2 ^= s0, s3 ^= s1
+    np.bitwise_xor(s[1::-1], out[2:4], out=out[1::-1])  # s1 ^= s2, s0 ^= s3
+    out[2] ^= t
+    np.left_shift(out[3], _U(45), out=t)
+    out[3] >>= _U(19)
+    out[3] |= t
 
 
 def _powers(a: int, n: int) -> list:
     """[1, a, a**2, ..., a**(n-1)] mod _CHARPOLY."""
+    table = _table(a)
     out = [1]
     while len(out) < n:
-        out.append(_polymul(out[-1], a))
+        out.append(_polymul(table, out[-1]))
+    return out
+
+
+def _orbit(s: np.ndarray, n: int) -> np.ndarray:
+    """Every lane of s and its next n - 1 states: (n, 4, m)."""
+    out = np.empty((n,) + s.shape, dtype=np.uint64)
+    if s.shape[1] == 1:  # one lane steps faster in Python than in numpy
+        s0, s1, s2, s3 = (int(w) for w in s[:, 0])
+        rows = []
+        for _ in range(n):
+            rows.append((s0, s1, s2, s3))
+            t = (s1 << 17) & _MASK
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+        out[:, :, 0] = rows
+        return out
+    out[0] = s
+    t = np.empty_like(s[0])
+    for i in range(1, n):
+        _advance(out[i - 1], t, out[i])
     return out
 
 
 def _jump(s: np.ndarray, polys: list) -> np.ndarray:
-    """Every lane of s moved on by each jump polynomial: (len(polys), 4, m)."""
+    """Every lane of s moved on by each jump polynomial: (len(polys), 4, m),
+    each the XOR of the states of s's orbit picked by the poly's bits."""
+    top = max(p.bit_length() for p in polys)
+    orbit = _orbit(s, top)
     raw = np.frombuffer(b"".join(p.to_bytes(32, "little") for p in polys),
                         dtype=np.uint8).reshape(len(polys), 32)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")  # (len(polys), 256)
-    take = bits.T.astype(bool)[:, :, None, None]  # step i: polys with bit i
-    acc = np.zeros((len(polys),) + s.shape, dtype=np.uint64)
-    s = s.copy()
-    t = np.empty_like(s[0])
-    top = max(p.bit_length() for p in polys)
-    for i in range(top):
-        np.bitwise_xor(acc, s, out=acc, where=take[i])
-        if i + 1 < top:
-            _advance(s, t)
-    return acc
+    bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :top]
+    return np.stack([np.bitwise_xor.reduce(orbit[b.astype(bool)], axis=0)
+                     for b in bits])
 
 
-def _lane_starts(state: tuple, lanes: int, count: int):
-    """Start states of ``lanes`` lanes ``_LANE`` steps apart, as a (4, lanes)
+def _layout(count: int) -> tuple:
+    """(lanes, per) of a bulk request: up to ``_LANES`` lanes of ``per``
+    words, per even; only the last lane may run past ``count``."""
+    per = -(-count // _LANES)
+    per += per & 1
+    return -(-count // per), per
+
+
+def _lane_starts(state: tuple, lanes: int, gap: int, count: int):
+    """Start states of ``lanes`` lanes ``gap`` steps apart, as a (4, lanes)
     array, and ``state`` moved ``count`` steps on.  Each round multiplies
     the lane count by up to ``_RADIX``; the first also makes the long jump."""
     start = np.array(state, dtype=np.uint64)[:, None]
-    first = _jump(start, _powers(_xpow(_LANE), min(lanes, _RADIX))
+    first = _jump(start, _powers(_xpow(gap), min(lanes, _RADIX))
                   + [_xpow(count)])
     s = np.concatenate(first[:-1], axis=1)
     while s.shape[1] < lanes:
         m = s.shape[1]
-        polys = _powers(_xpow(_LANE * m), min(-(-lanes // m), _RADIX))
+        polys = _powers(_xpow(gap * m), min(-(-lanes // m), _RADIX))
         s = np.concatenate(_jump(s, polys), axis=1)
     end = tuple(int(w) for w in first[-1, :, 0])
     return np.ascontiguousarray(s[:, :lanes]), end
@@ -156,12 +231,25 @@ def _scramble(s1: np.ndarray, out: np.ndarray, t: np.ndarray) -> None:
     out *= _U(9)
 
 
-def _run_lanes(s: np.ndarray, out: np.ndarray) -> None:
-    """Step every lane of s once per row of out, writing the outputs there."""
-    t = np.empty_like(s[1])
+def _run_lanes(s: np.ndarray, out: np.ndarray, t: np.ndarray) -> None:
+    """Step every lane of s once per row of out, writing the outputs there;
+    t is scratch of out's shape."""
     for row in out:
-        _scramble(s[1], row, t)
-        _advance(s, t)
+        np.copyto(row, s[1])
+        _advance(s, t[0])
+    _scramble(out, out, t[:len(out)])
+
+
+def _box_muller(w: np.ndarray, z: np.ndarray) -> None:
+    """Normals from w, a (steps, lanes) uint64 array whose rows 2k and
+    2k + 1 pair up, into z of the same shape: the cos half of each pair in
+    its first row, the sin half in its second."""
+    u1 = ((w[0::2] >> _U(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (w[1::2] >> _U(11)).astype(np.float64) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * math.pi * u2
+    np.multiply(radius, np.cos(angle), out=z[0::2])
+    np.multiply(radius, np.sin(angle), out=z[1::2])
 
 
 class Xoshiro256StarStar:
@@ -209,38 +297,28 @@ class Xoshiro256StarStar:
         _scramble(out, out, np.empty_like(out))
         return out
 
-    def _blocks(self, count: int):
-        """Yield the next ``count`` raw outputs as consecutive uint64 arrays:
-        one from the scalar loop, or bulk blocks of ``_BLOCK`` words (the
-        last may be shorter)."""
-        if count < _BULK_MIN:
-            yield self._scalar_uint64s(count)
-            return
-        lanes = -(-min(count, _BLOCK) // _LANE)
-        s, self._s = _lane_starts(self._s, lanes, count)
-        between = [_xpow(_BLOCK - _LANE)]
-        steps = np.empty((_LANE, lanes), dtype=np.uint64)
-        left = count
-        while left > 0:
-            size = min(left, _BLOCK)
-            live = -(-size // _LANE)
-            if live < s.shape[1]:  # a short last block needs fewer lanes
-                s = s[:, :live].copy()
-                steps = np.empty((_LANE, live), dtype=np.uint64)
-            _run_lanes(s, steps)
-            yield steps.T.reshape(-1)[:size]  # lane-major: stream order
-            left -= size
-            if left > 0:
-                s = _jump(s, between)[0]
+    def _lanes(self, count: int, out: np.ndarray):
+        """The next ``count`` raw outputs, laid over ``_layout(count)``:
+        yield (words, place) pairs, words a (steps, lanes) uint64 chunk and
+        place the view of out, as (lanes, per), where they belong."""
+        lanes, per = _layout(count)
+        s, self._s = _lane_starts(self._s, lanes, per, count)
+        grid = out.reshape(lanes, per)
+        w = np.empty((min(per, _CHUNK), lanes), dtype=np.uint64)
+        t = np.empty_like(w)
+        for j in range(0, per, _CHUNK):
+            words = w[:per - j]
+            _run_lanes(s, words, t)
+            yield words, grid[:, j:j + len(words)].T
 
     def uint64s(self, count: int) -> np.ndarray:
         """Next ``count`` raw outputs as a uint64 array."""
-        out = np.empty(count, dtype=np.uint64)
-        pos = 0
-        for block in self._blocks(count):
-            out[pos:pos + block.size] = block
-            pos += block.size
-        return out
+        if count < _BULK_MIN:
+            return self._scalar_uint64s(count)
+        out = np.empty(math.prod(_layout(count)), dtype=np.uint64)
+        for words, place in self._lanes(count, out):
+            place[...] = words
+        return out[:count]
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -250,27 +328,21 @@ class Xoshiro256StarStar:
         return (u >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def normals(self, count: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        out = np.empty(count, dtype=np.float64)
-        i = 0
-        if self._spare is not None and count > 0:
+        i = int(self._spare is not None and count > 0)
+        n = (count - i + 1) // 2 * 2  # raw words: whole pairs
+        if n < _BULK_MIN:
+            out = np.empty(i + n)
+            _box_muller(self._scalar_uint64s(n)[:, None], out[i:, None])
+        else:
+            out = np.empty(i + math.prod(_layout(n)))
+            for words, place in self._lanes(n, out[i:]):
+                _box_muller(words, place)
+        if i:
             out[0] = self._spare
             self._spare = None
-            i = 1
-        remaining = count - i
-        pairs = (remaining + 1) // 2
-        # every block of an even count is even, so no pair straddles two
-        for u in self._blocks(2 * pairs):
-            u1 = ((u[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-            u2 = (u[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-            radius = np.sqrt(-2.0 * np.log(u1))
-            spill = i + u.size > count  # the last pair's sin half is spare
-            z = np.empty(u.size) if spill else out[i:i + u.size]
-            z[0::2] = radius * np.cos(2.0 * math.pi * u2)
-            z[1::2] = radius * np.sin(2.0 * math.pi * u2)
-            if spill:
-                out[i:] = z[:-1]
-                self._spare = float(z[-1])
-            i += u.size
+        if i + n > count:  # the last pair's sin half is spare
+            self._spare = float(out[count])
+        out = out[:count]
         if mean != 0.0 or std != 1.0:
             out *= std
             out += mean

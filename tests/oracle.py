@@ -9,6 +9,8 @@
   which ``engine.route`` computes for every row at once.
 * ``fnv1a``: the byte-at-a-time 64-bit FNV-1a loop that ``engine.fnv1a``
   computes with numpy passes.
+* ``polymul``: GF(2) polynomial multiplication modulo a polynomial, one bit
+  at a time, which ``rng`` computes with byte tables for its jump-ahead.
 * ``train_epochs_reference``: the training loop with a float32 round trip
   at every step.  Each step upcasts the module and the head, runs a batched
   forward and a backward that evaluates every activation derivative afresh,
@@ -36,6 +38,21 @@ def fnv1a(data: bytes) -> int:
         h ^= byte
         h = (h * FNV_PRIME) & _U64
     return h
+
+
+def polymul(a: int, b: int, modulus: int) -> int:
+    """a * b mod ``modulus`` over GF(2), by shift and xor: bit i of an int is
+    the coefficient of x**i, and a, b are below the modulus's degree."""
+    degree = modulus.bit_length() - 1
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        b >>= 1
+        a <<= 1
+        if a >> degree:
+            a ^= modulus
+    return product
 
 
 def matvec(m, v) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Split plans, the synthetic benchmark, and the binary feature container."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -95,6 +96,41 @@ def test_synth_means_replay_and_norms():
         assert np.allclose(sample_mean, means[c], atol=0.4)
 
 
+class _ZeroBlocks(Xoshiro256StarStar):
+    """A generator whose stream 0 reads 0.0 in chosen blocks of d normals."""
+
+    def __init__(self, seed, stream=0, d=3, zero=(1, 2, 5)):
+        super().__init__(seed, stream)
+        self.d, self.zero = d, list(zero)
+        self.drawn = 0 if stream == 0 else None
+
+    def normals(self, count, mean=0.0, std=1.0):
+        out = super().normals(count, mean, std)
+        if self.drawn is not None:
+            block = (self.drawn + np.arange(count)) // self.d
+            out[np.isin(block, self.zero)] = 0.0
+            self.drawn += count
+        return out
+
+
+def test_synth_means_redraw_a_zero_block(monkeypatch):
+    # class c takes the next nonzero block, as a loop of per-class draws
+    # that redraws a zero block would
+    d, k, sep = 3, 4, 7.0
+    gen = _ZeroBlocks(5)
+    want = []
+    for _ in range(k):
+        v = gen.normals(d)
+        while np.linalg.norm(v) == 0.0:
+            v = gen.normals(d)
+        want.append(v * (sep / np.linalg.norm(v)))
+    monkeypatch.setattr("tosca.data.Xoshiro256StarStar", _ZeroBlocks)
+    train, _ = synth_gaussian(d=d, num_classes=k, n_train=1, n_test=1,
+                              separation=sep, sigma=1e-30, seed=5)
+    assert np.array_equal(train.features,
+                          np.array(want, dtype=np.float32))
+
+
 def test_synth_train_and_test_use_separate_streams():
     train, test = synth_gaussian(d=8, num_classes=3, n_train=20, n_test=20,
                                  separation=5.0, sigma=1.0, seed=77)
@@ -117,6 +153,74 @@ def test_synth_is_deterministic():
     c = synth_gaussian(d=8, num_classes=3, n_train=5, n_test=5,
                        separation=5.0, sigma=1.0, seed=43)
     assert not np.array_equal(a[0].features, c[0].features)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# Golden streams: sha256 of the benchmark's inputs and of raw draws, pinned
+# so that no change to the generator can move them silently.
+# d, classes, train and test rows per class, separation, sigma
+_SYNTH_SHAPES = {
+    "incremental-d32": ((32, 50, 100, 50, 138.0, 23.0),
+                        "282ea13fb0df1c8544fcc022d87bd5b6"
+                        "b4bc261d4d3ed069392ca27615176c0b"),
+    "bank-d768": ((768, 40, 50, 25, 138.0, 17.0),
+                  "b3135ad89ba5d0a7d4fb9163b28e8d97"
+                  "5b27eda16e11f97e454c9f7280c6993b"),
+    "route-d768": ((768, 50, 16, 10, 138.0, 12.0),
+                   "b35b8f8847582cc8100dfb72c6288e0b"
+                   "a51758fe6c71509394c00aa9d39f735e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYNTH_SHAPES))
+def test_synth_golden_streams(name):
+    shape, want = _SYNTH_SHAPES[name]
+    train, test = synth_gaussian(*shape, seed=1)
+    assert _digest(train.features, train.labels, test.features,
+                   test.labels) == want
+
+
+_DRAWS = [  # the scalar path, the bulk threshold +-1 and a lane-capped size
+    ("uint64s", 1000, "b9d9ba6e9704d825f2d7f7b4ca2db1b6"
+                      "2c5df77108954fa62501eb68310568fc"),
+    ("uint64s", 11_999, "8b56f3e5f2f28a411f7096788c6567a9"
+                        "ff8fe34b38086d7113bfc52376431f92"),
+    ("uint64s", 12_000, "f79f1468bf58f44e75a7eee3fe89dbed"
+                        "773e05cddd4da2bacff5b5d8f7176c32"),
+    ("uint64s", 12_001, "8494c8df8972386a2a6202074bc6f96b"
+                        "91d2ad57f2ec148cf143c07a645483dc"),
+    ("uint64s", 2**21 + 5, "e007a43b6d3e50dd25cf1486e3e459f1"
+                           "2957702dcba9e5f8517a86fd8ed02003"),
+    ("normals", 1000, "6fc8d5a39c9c7f3f4945ed11408c3823"
+                      "c05d779690102f7f026f46d51285af4e"),
+    ("normals", 11_998, "49ad170798e1b18d3718335a3a28c152"
+                        "81c0951fa96d914be92154908c481162"),
+    ("normals", 11_999, "2728fb6a458097dbed566a27c11d294f"
+                        "c364616a40a4de8ba99c1e5454634637"),
+    ("normals", 12_001, "74c2008edf1e5f8a3436d1cfc5b6c231"
+                        "e2f068d6b02809da89e37e27cb3636cc"),
+    ("normals", 2**21 + 5, "dfb438d4934a617b13ae7dfb6439a791"
+                           "cba85f71158db6d8ed4209d8f2c0872f"),
+]
+
+
+@pytest.mark.parametrize("method,n,want", _DRAWS)
+def test_raw_golden_streams(method, n, want):
+    gen = Xoshiro256StarStar(1993, stream=1)
+    assert _digest(getattr(gen, method)(n), gen.uint64s(4)) == want
+
+
+def test_golden_stream_with_a_spare_pending():
+    gen = Xoshiro256StarStar(1993, stream=2)
+    assert _digest(gen.normals(1), gen.normals(12_001), gen.normals(2),
+                   gen.uint64s(4)) == ("829e2861c6bc9bc523ec778fc24189e0"
+                                       "535fabf63e80d7928fa6d8abe813b02d")
 
 
 def test_synth_rejects_bad_parameters():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tosca.rng
+from oracle import polymul
 from tosca.rng import Xoshiro256StarStar, derive_seeds, splitmix64
 
 M64 = 0xFFFFFFFFFFFFFFFF
@@ -242,9 +243,32 @@ def test_jump_polynomial_moves_the_state():
 
 
 _CROSS = tosca.rng._BULK_MIN
-_BLOCK = tosca.rng._BLOCK
-_SIZES = [_CROSS - 1, _CROSS, _CROSS + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-          2 * _BLOCK + 3]
+_LANES = tosca.rng._LANES
+_CHUNK = tosca.rng._CHUNK
+_SIZES = [
+    _CROSS - 1, _CROSS, _CROSS + 1,  # the scalar/bulk crossover
+    _LANES * 32 - 1, _LANES * 32, _LANES * 32 + 1,  # lanes * per, +-1
+    _LANES * 128 - 1, _LANES * 128, _LANES * 128 + 1,
+    _LANES * 256 + 3,  # per 257 rounds up to 258: 2,033 lanes
+    _LANES * 33,  # per 33 rounds up to 34: 1,988 lanes, the last short
+    _LANES * 34 - 33,  # the lane cap: 2,048 lanes, the last of one word
+    _LANES * _CHUNK, _LANES * (_CHUNK + 2),  # one chunk; a chunk and a bit
+]
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_lane_layout(n):
+    lanes, per = tosca.rng._layout(n)
+    assert per % 2 == 0 and lanes <= _LANES
+    assert (lanes - 1) * per < n <= lanes * per  # only the last lane is short
+    assert per == 2 * -(-n // (2 * _LANES))  # the fewest whole pairs per lane
+
+
+def test_lane_layout_examples():
+    assert tosca.rng._layout(_LANES * 33) == (1988, 34)
+    assert tosca.rng._layout(_LANES * 34 - 33) == (_LANES, 34)
+    assert tosca.rng._layout(_LANES * 256 + 3) == (2033, 258)
+    assert tosca.rng._layout(2**21) == (_LANES, 1024)
 
 
 @pytest.mark.parametrize("n", _SIZES)
@@ -268,7 +292,7 @@ def test_bulk_draws_replay_the_scalar_loop(n, monkeypatch):
 
 
 def test_bulk_state_equals_the_stepped_state():
-    n = _BLOCK + 7
+    n = _LANES * 40 + 7
     gen = Xoshiro256StarStar(5)
     gen.uint64s(n)
     raw = Xoshiro256StarStar(5)
@@ -291,3 +315,55 @@ def test_bulk_normals_memory_is_bounded():
         tracemalloc.stop()
     assert z.shape == (n,)
     assert peak < 8 * n + 16 * 2**20
+
+
+@pytest.mark.parametrize("method", ["uint64s", "normals"])
+def test_bulk_jumps_do_not_grow_with_the_request(method, monkeypatch):
+    calls = []
+    jump = tosca.rng._jump
+
+    def spy(s, polys):
+        calls.append(len(polys))
+        return jump(s, polys)
+
+    monkeypatch.setattr(tosca.rng, "_jump", spy)
+    counts = []
+    for n in (2**16, 2**21):
+        calls.clear()
+        getattr(Xoshiro256StarStar(7), method)(n)
+        counts.append(len(calls))
+    assert counts == [2, 2]  # lanes from one state, then 32 per lane
+
+
+# --- polynomial arithmetic ---------------------------------------------------
+
+def _operands(count):
+    rng = np.random.default_rng(17)
+    words = rng.integers(0, 2**64, size=(count, 4), dtype=np.uint64)
+    ops = [int.from_bytes(w.tobytes(), "little") for w in words]
+    return ops + [0, 1, 2, (1 << 256) - 1, tosca.rng._CHARPOLY ^ (1 << 256)]
+
+
+def test_polymul_and_square_match_shift_and_xor():
+    p = tosca.rng._CHARPOLY
+    ops = _operands(40)
+    for a, b in zip(ops, ops[1:] + ops[:1]):
+        assert tosca.rng._polymul(tosca.rng._table(a), b) == polymul(a, b, p)
+        assert tosca.rng._square(a) == polymul(a, a, p)
+
+
+def test_powers_and_xpow_match_shift_and_xor():
+    p = tosca.rng._CHARPOLY
+    for a in _operands(3):
+        want = [1]
+        for _ in range(9):
+            want.append(polymul(want[-1], a, p))
+        assert tosca.rng._powers(a, 10) == want
+    for k in (0, 1, 2, 255, 256, 257, 1000, 2**21 + 5, 3**40):
+        want, base, e = 1, 2, k  # square-and-multiply of x
+        while e:
+            if e & 1:
+                want = polymul(want, base, p)
+            base = polymul(base, base, p)
+            e >>= 1
+        assert tosca.rng._xpow(k) == want

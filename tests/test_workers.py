@@ -208,12 +208,23 @@ def test_every_stage_is_checked_before_a_worker_starts(stages, message, cpus,
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_a_one_class_session_is_refused_in_any_process(workers, cpus):
-    # K = 1, 2, 2, 2: session 1 would take every row from stage 2 on
+def test_a_one_class_session_is_refused_in_any_process(workers, cpus, started,
+                                                      monkeypatch):
+    # K = 1, 2, 2, 2: session 1 would take every row from stage 2 on, so the
+    # split is refused before any session trains
     train, test, splits = _inputs(7, 1)
+    fits = []
+    fit = engine._fit_session
+
+    def counted(*args, **kwargs):
+        fits.append(args[1])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_fit_session", counted)
     cpus(workers)
     with pytest.raises(ValueError, match="^session 1 has one class"):
         run_scenario(train, test, splits, "tosca", _FAST, 11)
+    assert fits == [] and started == []
 
 
 def test_a_session_of_another_width_is_refused():
