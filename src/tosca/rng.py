@@ -193,8 +193,8 @@ def _jump(s: np.ndarray, polys: list) -> np.ndarray:
     raw = np.frombuffer(b"".join(p.to_bytes(32, "little") for p in polys),
                         dtype=np.uint8).reshape(len(polys), 32)
     bits = np.unpackbits(raw, axis=1, bitorder="little")[:, :top]
-    return np.stack([np.bitwise_xor.reduce(orbit[b.astype(bool)], axis=0)
-                     for b in bits])
+    return np.stack([np.bitwise_xor.reduce(orbit[b], axis=0)
+                     for b in bits.astype(bool)])
 
 
 def _layout(count: int) -> tuple:
