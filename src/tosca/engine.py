@@ -20,9 +20,11 @@ no length limit, whenever free, so a process slowed by other load trains
 fewer; this process evaluates every stage in order.  One CPU runs the same
 loop, counting in process, and starts no process.  Reports and banks do
 not depend on N.
-Baselines share the harness: sequential finetuning of a single module with a
-growing head, joint training on all classes at once (scored once, sliced per
-stage), and a prototype classifier with no training at all.
+Baselines share the harness and the fit.  Sequential finetuning grows one
+module and head stage by stage, and joint training fits all classes at once
+(scored once, sliced per stage); both fit through ``_fit_session``, as each
+session of the main method does.  A prototype classifier trains nothing.
+Every method checks every stage before it trains any.
 
 Bank file layout (all little endian):
 
@@ -197,19 +199,23 @@ def _session_ids(train: FeatureDataset, class_ids, taken: set,
 
 
 def _fit_session(train: FeatureDataset, ids: tuple, cfg: ScenarioConfig,
-                 seed: int, init: LucaModule | None = None):
+                 seed: int, init: LucaModule | None = None,
+                 head: SessionHead | None = None):
     """(module, head) trained on the rows of the classes ``ids``.
 
-    ``train_session`` and every process of a scenario fit through here.  The
-    module is a copy of ``init`` or, without one, drawn from the first of
-    ``derive_seeds(seed, 2)``.
+    Every trained method fits through here: ``train_session`` and each
+    ``tosca`` session, ``finetune`` once per stage on the module and head
+    of the stage before, and ``joint`` once on all classes.  The module is
+    a copy of ``init`` or, without one, drawn from the first of
+    ``derive_seeds(seed, 2)``.  The head is ``head`` grown by ``ids`` or,
+    without one, a new zero head over ``ids``.
     """
     derived_init, shuffle_seed = derive_seeds(seed, 2)
     if init is not None:
         module = copy.deepcopy(init)  # training writes in place
     else:
         module = init_luca(train.d, cfg.r, cfg.luca_config(), derived_init)
-    head = make_head(train.d, ids)
+    head = make_head(train.d, ids) if head is None else extend_head(head, ids)
     train_epochs(module, head, train.subset(ids), cfg.optim,
                  Xoshiro256StarStar(shuffle_seed))
     return module, head
@@ -679,11 +685,16 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     stages cannot perturb earlier ones.  A training divergence raises
     ``FloatingPointError`` naming the method, the stage and the epoch.
 
+    Every method checks every stage before any training, raising the
+    ``ValueError`` that ``train_session`` would for a stage that overlaps
+    an earlier one or has no training rows.  ``tosca``, ``tosca_r``,
+    ``finetune`` (once per stage, on the stage before's module and head)
+    and ``joint`` (once, on all classes) all fit through ``_fit_session``.
+
     ``tosca`` and ``tosca_r`` train their sessions in up to N processes, N
     the CPUs in ``os.sched_getaffinity`` and at most the stage count.  This
-    process checks every stage first (raising the ``ValueError`` that
-    ``train_session`` would, or that ``pick_sessions`` would for a session
-    of one class among several), draws the shared init, then forks N - 1
+    process also refuses a session of one class among several, as
+    ``pick_sessions`` would, draws the shared init, then forks N - 1
     workers.  It trains session 1 and worker k session k + 1; after that
     every process claims the next session from a shared counter when it is
     free, and this process evaluates each stage in order.  One CPU runs the
@@ -708,93 +719,69 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     d = train.d
     seeds = derive_seeds(seed, B + 1)
     stage_seeds, shared_init = seeds[:B], seeds[B]
+    taken: set = set()
+    session_ids = []
+    for classes in splits.stages:  # every stage, before any training
+        session_ids.append(_session_ids(train, classes, taken, d))
+        taken.update(session_ids[-1])
     stages = []
     params = []
     artifacts: dict = {}
 
+    def record(b: int, ev: StageEval) -> None:
+        stages.append({"index": b, "A_b": ev.accuracy,
+                       "selection_accuracy": ev.selection_accuracy})
+
     if method in ("tosca", "tosca_r"):
-        taken: set = set()
-        session_ids = []
-        for classes in splits.stages:  # every stage, before any worker
-            session_ids.append(_session_ids(train, classes, taken, d))
-            taken.update(session_ids[-1])
         _refuse_one_class([len(ids) for ids in session_ids])
         bank = ModuleBank(d)
         scores = SessionScores(test.labels)
         init = init_luca(d, cfg.r, cfg.luca_config(), shared_init)
         with _session_workers(train, session_ids, stage_seeds, cfg, init,
                               _worker_count(B)) as trained:
-            for b, classes in enumerate(splits.stages, start=1):
+            for b, ids in enumerate(session_ids, start=1):
                 with _naming_stage(method, f"stage {b}"):
                     module, head = trained(b)
                 bank.append(BankEntry(session_index=b, module=module,
                                       head=head))
-                ev = evaluate_stage(bank,
-                                    test.subset(splits.classes_through(b)),
-                                    cfg.normalize_entropy, scores)
-                stages.append({"index": b, "A_b": ev.accuracy,
-                               "selection_accuracy": ev.selection_accuracy})
-                params.append(param_count(d, cfg.r) + d * len(classes))
+                record(b, evaluate_stage(
+                    bank, test.subset(splits.classes_through(b)),
+                    cfg.normalize_entropy, scores))
+                params.append(param_count(d, cfg.r) + d * len(ids))
         artifacts["bank"] = bank
     elif method == "finetune":
-        module = None
-        head = None
-        for b, classes in enumerate(splits.stages, start=1):
-            ids = tuple(sorted(int(c) for c in classes))
-            ds = train.subset(ids)
-            if ds.n == 0:
-                raise ValueError("empty session data")
-            module_seed, shuffle_seed = derive_seeds(stage_seeds[b - 1], 2)
-            if module is None:
-                module = init_luca(d, cfg.r, cfg.luca_config(), module_seed)
-                head = make_head(d, ids)
-                params.append(param_count(d, cfg.r) + d * len(ids))
-            else:
-                head = extend_head(head, ids)
-                params.append(d * len(ids))
+        module = head = None
+        for b, ids in enumerate(session_ids, start=1):
             with _naming_stage(method, f"stage {b}"):
-                train_epochs(module, head, ds, cfg.optim,
-                             Xoshiro256StarStar(shuffle_seed))
+                module, head = _fit_session(train, ids, cfg,
+                                            stage_seeds[b - 1], module, head)
             seen = test.subset(splits.classes_through(b))
-            ev = _score_stage(_single_classes(module, head, seen.features),
-                              seen.labels, splits.stages)
-            stages.append({"index": b, "A_b": ev.accuracy,
-                           "selection_accuracy": ev.selection_accuracy})
-        artifacts["module"] = module
-        artifacts["head"] = head
+            preds = _single_classes(module, head, seen.features)
+            record(b, _score_stage(preds, seen.labels, splits.stages))
+            params.append((param_count(d, cfg.r) if b == 1 else 0)
+                          + d * len(ids))
+        artifacts.update(module=module, head=head)
     elif method == "joint":
-        all_ids = splits.classes_through(B)
-        ds = train.subset(all_ids)
-        if ds.n == 0:
-            raise ValueError("empty session data")
-        module_seed, shuffle_seed = derive_seeds(stage_seeds[0], 2)
-        module = init_luca(d, cfg.r, cfg.luca_config(), module_seed)
-        head = make_head(d, all_ids)
         with _naming_stage(method, f"stages 1-{B}"):
-            train_epochs(module, head, ds, cfg.optim,
-                         Xoshiro256StarStar(shuffle_seed))
+            module, head = _fit_session(train, splits.classes_through(B), cfg,
+                                        stage_seeds[0])
         preds = _single_classes(module, head, test.features)  # model is fixed
         for b in range(1, B + 1):
             rows = np.isin(test.labels, splits.classes_through(b))
-            ev = _score_stage(preds[rows], test.labels[rows], splits.stages)
-            stages.append({"index": b, "A_b": ev.accuracy,
-                           "selection_accuracy": ev.selection_accuracy})
-            params.append(param_count(d, cfg.r) + d * len(all_ids) if b == 1 else 0)
-        artifacts["module"] = module
-        artifacts["head"] = head
+            record(b, _score_stage(preds[rows], test.labels[rows],
+                                   splits.stages))
+            params.append(param_count(d, cfg.r) + head.param_count
+                          if b == 1 else 0)
+        artifacts.update(module=module, head=head)
     else:  # simplecil
         proto = None
-        for b, classes in enumerate(splits.stages, start=1):
-            ds = train.subset(classes)
-            if ds.n == 0:
-                raise ValueError("empty session data")
+        for b, ids in enumerate(session_ids, start=1):
+            ds = train.subset(ids)
             proto = build_prototypes(ds.features, ds.labels, proto)
             seen = test.subset(splits.classes_through(b))
-            ev = _score_stage(prototype_classify_batch(seen.features, proto),
-                              seen.labels, splits.stages)
-            stages.append({"index": b, "A_b": ev.accuracy,
-                           "selection_accuracy": ev.selection_accuracy})
-            params.append(d * len(classes))
+            preds = prototype_classify_batch(seen.features, proto)
+            record(b, _score_stage(preds, seen.labels, splits.stages))
+            params.append(d * len(ids))
         artifacts["prototypes"] = proto
 
     a_bar = float(np.mean([s["A_b"] for s in stages]))

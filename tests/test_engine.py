@@ -13,7 +13,8 @@ import oracle
 import tosca.engine as engine
 import tosca.heads
 import tosca.luca
-from tosca.data import FeatureDataset, make_splits, synth_gaussian
+from tosca.data import (FeatureDataset, SplitPlan, make_splits,
+                        synth_gaussian)
 from tosca.engine import (BANK_MAGIC, BankEntry, ModuleBank, ScenarioConfig,
                           entry_checksum, evaluate_stage, feature_shift,
                           fnv1a, load_bank, module_orthogonality, predict,
@@ -714,6 +715,53 @@ def test_joint_scores_its_test_set_once(forwarded):
                                     head)
         acc = 100.0 * np.mean(ids[np.argmax(logits, axis=1)] == seen.labels)
         assert stage["A_b"] == acc
+
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """``spied(name)``: the second argument of every later call to
+    ``engine.name``, which still runs."""
+    def spy_on(name):
+        seen = []
+        real = getattr(engine, name)
+
+        def spy(*args, **kwargs):
+            seen.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, spy)
+        return seen
+    return spy_on
+
+
+def test_baselines_fit_through_the_shared_helper(spied):
+    train, test, splits = _small_scenario()
+    fits = spied("_fit_session")
+    run_scenario(train, test, splits, "finetune", _FAST, seed=11)
+    assert fits == [tuple(sorted(s)) for s in splits.stages]
+    fits.clear()
+    run_scenario(train, test, splits, "joint", _FAST, seed=11)
+    assert fits == [splits.classes_through(splits.num_stages)]
+
+
+@pytest.mark.parametrize("stages,message", [
+    (((0, 1), (2, 3), (4, 1)), "overlapping classes"),
+    (((0, 1), (2, 3, 4, 5), ()), "empty session data"),
+])
+@pytest.mark.parametrize("method,work", [
+    ("tosca", "train_epochs"), ("tosca_r", "train_epochs"),
+    ("finetune", "train_epochs"), ("joint", "train_epochs"),
+    ("simplecil", "build_prototypes"),
+])
+def test_every_stage_is_checked_before_any_work(stages, message, method,
+                                                work, spied):
+    train, test, _ = _small_scenario()
+    calls = spied(work)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_scenario(train, test, SplitPlan(stages=stages, seed=0), method,
+                     _FAST, seed=11)
+    assert calls == []
 
 
 # --- diagnostics -------------------------------------------------------------
