@@ -717,7 +717,6 @@ def test_joint_scores_its_test_set_once(forwarded):
         assert stage["A_b"] == acc
 
 
-
 @pytest.fixture
 def spied(monkeypatch):
     """``spied(name)``: the second argument of every later call to
@@ -749,13 +748,12 @@ def test_baselines_fit_through_the_shared_helper(spied):
     (((0, 1), (2, 3), (4, 1)), "overlapping classes"),
     (((0, 1), (2, 3, 4, 5), ()), "empty session data"),
 ])
-@pytest.mark.parametrize("method,work", [
-    ("tosca", "train_epochs"), ("tosca_r", "train_epochs"),
+@pytest.mark.parametrize("method,work", [  # tosca's: tests/test_workers.py
     ("finetune", "train_epochs"), ("joint", "train_epochs"),
     ("simplecil", "build_prototypes"),
 ])
-def test_every_stage_is_checked_before_any_work(stages, message, method,
-                                                work, spied):
+def test_every_baseline_checks_every_stage_before_any_work(
+        stages, message, method, work, spied):
     train, test, _ = _small_scenario()
     calls = spied(work)
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -19,7 +19,7 @@ scipy-openblas 0.3.31.188.0 (x86-64).  They depend on that OpenBLAS and
 libm, so on another stack a mismatch means "bits differ from the pinned
 host", not necessarily a fault.
 
-    PYTHONPATH=src python tests/test_golden.py [case ...]
+    python tests/test_golden.py [case ...]
 
 prints the current digests in the layout of ``GOLDEN``.  A change that
 moves bits on purpose re-pins by replacing ``GOLDEN`` with that output,
@@ -36,6 +36,9 @@ import tempfile
 from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":  # a script reads this checkout's package
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tosca.data import make_splits, synth_gaussian
 from tosca.engine import (METHODS, BankEntry, ScenarioConfig, _entry_bytes,
@@ -142,10 +145,7 @@ def test_golden_digests(case):
 
 
 def test_golden_digests_at_two_blas_threads():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-               PYTHONPATH=src if not path else f"{src}{os.pathsep}{path}")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
     out = subprocess.run([sys.executable, __file__, "d768"], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert ast.literal_eval(out.split("=", 1)[1]) == {"d768": GOLDEN["d768"]}
