@@ -12,7 +12,7 @@ import sys
 
 from .data import load_features, make_splits, save_features, synth_gaussian
 from .engine import METHODS, ScenarioConfig, run_scenario
-from .luca import gradient_check
+from .luca import LucaConfig, gradient_check
 from .optim import L1_MODES, OptimConfig
 from .report import emit_plot, emit_report, load_report
 
@@ -111,8 +111,8 @@ def _make_config(args, r: int, lam: float) -> ScenarioConfig:
     optim = OptimConfig(lr_max=args.lr, epochs=args.epochs,
                         batch_size=args.batch, lambda_l1=lam,
                         l1_mode=args.l1_mode)
-    return ScenarioConfig(r=r, gate_residual=args.gate_residual,
-                          reversed=args.reversed, optim=optim)
+    luca = LucaConfig(gate_residual=args.gate_residual, reversed=args.reversed)
+    return ScenarioConfig(r=r, luca=luca, optim=optim)
 
 
 def _cmd_run(args) -> int:

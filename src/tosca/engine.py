@@ -29,19 +29,21 @@ Every method checks every stage before it trains any.
 Bank file layout (all little endian):
 
     magic    8 bytes  b"LUCABANK"
-    version  u32      currently 1
+    version  u32      currently 2
     d, r     u32, u32
     entries  u32      count
-    per entry: session_index u32, K u32, K class ids u32,
+    per entry: session_index u32, K u32, config 4 x u8, K class ids u32,
                W_down, W_up, V_down, V_up, W_head as row-major float32,
                then a u64 FNV-1a checksum of the entry's preceding bytes.
 
-The layout and every byte of it are unchanged since version 1.  The checksum
-is still the 64-bit FNV-1a of the byte loop ``h = ((h ^ b) * P) mod 2**64``;
-``fnv1a`` computes the same value with numpy passes over 64 KiB blocks (a
-wrapping uint64 power sum plus eight bit-packed prefix XORs for the low
-byte), so its temporaries stay near 1 MiB at any entry size.  ``load_bank``
-checks the entry count against the file size before reading any entry.
+The config bytes index ``_CONFIG_CODES``: the adapter and gate activations
+(in ``numerics.ACTIVATIONS`` order), gate_residual and reversed.  So each
+module loads with its own config.  Version 1 stored none and is refused.
+The checksum is the 64-bit FNV-1a of the byte loop ``h = ((h ^ b) * P) mod
+2**64``; ``fnv1a`` computes the same value with numpy passes over 64 KiB
+blocks (a wrapping uint64 power sum plus eight bit-packed prefix XORs for
+the low byte), so its temporaries stay near 1 MiB at any entry size.
+``load_bank`` checks the entry count against the file size first.
 
 A loaded bank is frozen: ``load_bank`` decodes each matrix and head from
 the file's float32 bytes to a read-only float64 array once, holding the
@@ -59,7 +61,7 @@ import os
 import struct
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from itertools import count
 from multiprocessing.connection import wait
@@ -74,17 +76,20 @@ from .heads import (SessionHead, build_prototypes, extend_head, head_forward,
                     head_forward_batch, make_head, prototype_classify_batch)
 from .luca import (LucaConfig, LucaModule, init_luca, luca_forward,
                    luca_forward_batch, param_count)
-from .numerics import softmax_rows
+from .numerics import ACTIVATIONS, softmax_rows
 from .optim import OptimConfig, train_epochs
 from .rng import Xoshiro256StarStar, derive_seeds
 
 METHODS = ("tosca", "tosca_r", "finetune", "joint", "simplecil")
 
 BANK_MAGIC = b"LUCABANK"
-BANK_VERSION = 1
+BANK_VERSION = 2
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
 _U64 = (1 << 64) - 1
+# (LucaConfig field, its values): an entry's config byte i indexes entry i
+_CONFIG_CODES = (("adapter_act", ACTIVATIONS), ("gate_act", ACTIVATIONS),
+                 ("gate_residual", (False, True)), ("reversed", (False, True)))
 
 
 @dataclass
@@ -145,30 +150,18 @@ class ModuleBank:
 @dataclass
 class ScenarioConfig:
     r: int = 48
-    adapter_act: str = "gelu"
-    gate_act: str = "sigmoid"
-    gate_residual: bool = False
-    reversed: bool = False
     normalize_entropy: bool = True
+    luca: LucaConfig = field(default_factory=LucaConfig)
     optim: OptimConfig = field(default_factory=OptimConfig)
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError("dimensions must be positive")
-        # delegate activation validation
-        self.luca_config()
-
-    def luca_config(self) -> LucaConfig:
-        return LucaConfig(adapter_act=self.adapter_act, gate_act=self.gate_act,
-                          gate_residual=self.gate_residual, reversed=self.reversed)
 
     def to_dict(self) -> dict:
         return {
             "r": self.r,
-            "adapter_act": self.adapter_act,
-            "gate_act": self.gate_act,
-            "gate_residual": self.gate_residual,
-            "reversed": self.reversed,
+            **asdict(self.luca),
             "normalize_entropy": self.normalize_entropy,
             "lr_max": self.optim.lr_max,
             "lr_min": self.optim.lr_min,
@@ -214,7 +207,7 @@ def _fit_session(train: FeatureDataset, ids: tuple, cfg: ScenarioConfig,
     if init is not None:
         module = copy.deepcopy(init)  # training writes in place
     else:
-        module = init_luca(train.d, cfg.r, cfg.luca_config(), derived_init)
+        module = init_luca(train.d, cfg.r, cfg.luca, derived_init)
     head = make_head(train.d, ids) if head is None else extend_head(head, ids)
     train_epochs(module, head, train.subset(ids), cfg.optim,
                  Xoshiro256StarStar(shuffle_seed))
@@ -244,7 +237,7 @@ def train_session(bank: ModuleBank, train: FeatureDataset, class_ids,
     ids = _session_ids(train, class_ids, set(bank.class_ids),
                        bank.feature_dim)
     if init is not None and (init.d, init.r, init.config) != (
-            bank.feature_dim, cfg.r, cfg.luca_config()):
+            bank.feature_dim, cfg.r, cfg.luca):
         raise ValueError("init does not match the bank and config")
     module, head = _fit_session(train, ids, cfg, seed, init)
     bank.append(BankEntry(session_index=len(bank) + 1, module=module,
@@ -707,7 +700,7 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
         raise ValueError(f"unknown method {method!r}")
     cfg = cfg if cfg is not None else ScenarioConfig()
     if method == "tosca_r":
-        cfg = replace(cfg, reversed=True)
+        cfg = replace(cfg, luca=replace(cfg.luca, reversed=True))
     if train.d != test.d:
         raise ValueError("dimension mismatch")
     covered = set(splits.classes_through(splits.num_stages))
@@ -736,7 +729,7 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
         _refuse_one_class([len(ids) for ids in session_ids])
         bank = ModuleBank(d)
         scores = SessionScores(test.labels)
-        init = init_luca(d, cfg.r, cfg.luca_config(), shared_init)
+        init = init_luca(d, cfg.r, cfg.luca, shared_init)
         with _session_workers(train, session_ids, stage_seeds, cfg, init,
                               _worker_count(B)) as trained:
             for b, ids in enumerate(session_ids, start=1):
@@ -899,7 +892,8 @@ def fnv1a(data) -> int:
 def _entry_bytes(entry: BankEntry) -> bytes:
     m = entry.module
     head = entry.head
-    parts = [struct.pack("<II", entry.session_index, head.num_classes)]
+    parts = [struct.pack("<II", entry.session_index, head.num_classes),
+             bytes(v.index(getattr(m.config, f)) for f, v in _CONFIG_CODES)]
     parts.append(struct.pack(f"<{head.num_classes}I", *head.class_ids))
     for mat in (m.w_down, m.w_up, m.v_down, m.v_up, head.w):
         parts.append(np.ascontiguousarray(mat, dtype="<f4").tobytes())
@@ -922,14 +916,12 @@ def save_bank(bank: ModuleBank, path) -> None:
             fh.write(struct.pack("<Q", fnv1a(blob)))
 
 
-def load_bank(path, config: LucaConfig | None = None) -> ModuleBank:
-    """Rebuild a bank; the container stores no activation choices, so pass
-    the ``LucaConfig`` the modules were trained with (defaults otherwise).
+def load_bank(path) -> ModuleBank:
+    """Rebuild a bank, each module with the config stored in its entry.
 
     Every matrix and head is a read-only float64 array holding the file's
     float32 values, decoded once here so that serving does not upcast.
     """
-    config = config or LucaConfig()
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(BANK_MAGIC) or blob[:len(BANK_MAGIC)] != BANK_MAGIC:
@@ -946,17 +938,17 @@ def load_bank(path, config: LucaConfig | None = None) -> ModuleBank:
         raise ValueError("not a bank file")
     if r < 1 and count > 0:
         raise ValueError("rank r=0 in a bank with entries")
-    smallest = 8 + 4 + 4 * (4 * d * r + d) + 8  # an entry with K = 1
+    smallest = 12 + 4 + 4 * (4 * d * r + d) + 8  # an entry with K = 1
     if count * smallest > len(blob) - off:
         raise ValueError(f"entry count {count} does not fit in the "
                          f"{len(blob) - off} bytes after the header")
     bank = ModuleBank(d)
     for _ in range(count):
         start = off
-        if len(blob) < off + 8:
+        if len(blob) < off + 12:
             raise ValueError("unexpected end of file")
         session_index, k = struct.unpack_from("<II", blob, off)
-        off += 8
+        off += 12
         if k < 1:
             raise ValueError("not a bank file")
         if len(blob) < off + 4 * k:
@@ -980,8 +972,15 @@ def load_bank(path, config: LucaConfig | None = None) -> ModuleBank:
         if fnv1a(memoryview(blob)[start:off]) != stored:
             raise ValueError("checksum mismatch")
         off += 8
+        config = {}
+        codes = blob[start + 8:start + 12]
+        for (name, values), code in zip(_CONFIG_CODES, codes):
+            if code >= len(values):
+                raise ValueError(f"unknown {name} code {code}")
+            config[name] = values[code]
         module = LucaModule(d=d, r=r, w_down=mats[0], w_up=mats[1],
-                            v_down=mats[2], v_up=mats[3], config=config)
+                            v_down=mats[2], v_up=mats[3],
+                            config=LucaConfig(**config))
         head = SessionHead(class_ids=class_ids, w=mats[4])
         bank.append(BankEntry(session_index=session_index, module=module,
                               head=head))

@@ -157,7 +157,7 @@ def test_criterion_7_determinism_and_formats(bench, tmp_path):
     save_features(load_features(ftr), ftr2)
     round_ok = ftr.read_bytes() == ftr2.read_bytes()
     bank_round = tmp_path / "round.luca"
-    save_bank(load_bank(pa, config=bench["cfg"].luca_config()), bank_round)
+    save_bank(load_bank(pa), bank_round)
     round_ok = round_ok and pa.read_bytes() == bank_round.read_bytes()
 
     errors_ok = True

@@ -2,9 +2,12 @@
 
 Every truncation and every single-bit flip of a small feature file and a
 small bank file either loads or raises ``ValueError``; never ``struct.error``,
-``IndexError`` or ``MemoryError``.  Truncations and flips inside the fixed
-24-byte header must always be refused.
+``IndexError`` or ``MemoryError``.  Every truncation, and every flip inside
+the fixed 24-byte header, must be refused.  A bank entry is checksummed
+whole, config bytes included, so every flip of a bank must be refused.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from tosca.data import FeatureDataset, load_features, save_features
 from tosca.engine import BankEntry, ModuleBank, load_bank, save_bank
 from tosca.heads import make_head
-from tosca.luca import init_luca
+from tosca.luca import LucaConfig, init_luca
 
 HEADER_BYTES = 24  # magic + (version, d, n) or magic + (version, d, r, count)
 
@@ -25,9 +28,12 @@ def _feature_file(path):
 
 
 def _bank_file(path):
-    # one d=3, r=1 session with two classes: 120 bytes
+    # one d=3, r=1 session with two classes and a non-default config whose
+    # four bytes are all nonzero (2, 1, 1, 1): 124 bytes
     bank = ModuleBank(3)
-    module = init_luca(3, 1, rng_seed=5)
+    config = LucaConfig(adapter_act="sigmoid", gate_act="gelu",
+                        gate_residual=True, reversed=True)
+    module = init_luca(3, 1, config, rng_seed=5)
     module.w_up[:] = 0.25
     head = make_head(3, (4, 9))
     head.w[:] = np.arange(6, dtype=np.float32).reshape(3, 2) / 8
@@ -35,28 +41,31 @@ def _bank_file(path):
     save_bank(bank, path)
 
 
-def _mutants(blob):
-    # (bytes, must be refused) for every truncation and single-bit flip
+def _mutants(blob, guarded):
+    # (bytes, must be refused) for every truncation and single-bit flip;
+    # a flip must be refused within the first ``guarded`` bytes
     for n in range(len(blob)):
         yield blob[:n], True
     for i in range(len(blob)):
         for bit in range(8):
             flipped = bytearray(blob)
             flipped[i] ^= 1 << bit
-            yield bytes(flipped), i < HEADER_BYTES
+            yield bytes(flipped), i < guarded
 
 
-@pytest.mark.parametrize("write,load", [(_feature_file, load_features),
-                                        (_bank_file, load_bank)],
+@pytest.mark.parametrize("write,load,guarded",
+                         [(_feature_file, load_features, HEADER_BYTES),
+                          (_bank_file, load_bank, math.inf)],
                          ids=["features", "bank"])
 def test_every_truncation_and_bit_flip_loads_or_raises_value_error(tmp_path,
-                                                                   write, load):
+                                                                   write, load,
+                                                                   guarded):
     p = tmp_path / "good"
     write(p)
     blob = p.read_bytes()
     load(p)
     bad = tmp_path / "mutant"
-    for mutant, must_refuse in _mutants(blob):
+    for mutant, must_refuse in _mutants(blob, guarded):
         bad.write_bytes(mutant)
         try:
             load(bad)

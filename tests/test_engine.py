@@ -149,22 +149,22 @@ def test_shared_init_seed_contract():
     seeds = derive_seeds(101, splits.num_stages + 1)
     manual = ModuleBank(16)
     train_session(manual, train, splits.stages[0], _FAST, seeds[0],
-                  init=init_luca(16, _FAST.r, _FAST.luca_config(), seeds[-1]))
+                  init=init_luca(16, _FAST.r, _FAST.luca, seeds[-1]))
     assert entry_checksum(manual.entries[0]) == entry_checksum(bank.entries[0])
     # all sessions share that init: fresh modules from it are identical
-    a = init_luca(16, _FAST.r, _FAST.luca_config(), seeds[-1])
-    b = init_luca(16, _FAST.r, _FAST.luca_config(), seeds[-1])
+    a = init_luca(16, _FAST.r, _FAST.luca, seeds[-1])
+    b = init_luca(16, _FAST.r, _FAST.luca, seeds[-1])
     assert np.array_equal(a.w_down, b.w_down)
 
 
 def test_training_from_a_shared_init_leaves_it_untouched():
     # the driver draws the shared init once and every session copies it
     train, _, _ = _small_scenario()
-    init = init_luca(16, _FAST.r, _FAST.luca_config(), 42)
+    init = init_luca(16, _FAST.r, _FAST.luca, 42)
     bank = ModuleBank(16)
     train_session(bank, train, (0, 1), _FAST, seed=5, init=init)
     train_session(bank, train, (2, 3), _FAST, seed=6, init=init)
-    fresh = init_luca(16, _FAST.r, _FAST.luca_config(), 42)
+    fresh = init_luca(16, _FAST.r, _FAST.luca, 42)
     for got, want in zip(init.matrices(), fresh.matrices()):
         assert got.tobytes() == want.tobytes()
     trained = [e.module for e in bank.entries]
@@ -173,7 +173,7 @@ def test_training_from_a_shared_init_leaves_it_untouched():
                  (trained[0], trained[1])):
         for x, y in zip(a.matrices(), b.matrices()):
             assert not np.shares_memory(x, y)
-    for other in (init_luca(16, 4, _FAST.luca_config()),
+    for other in (init_luca(16, 4, _FAST.luca),
                   init_luca(16, _FAST.r, LucaConfig(reversed=True))):
         with pytest.raises(ValueError, match="init does not match"):
             train_session(ModuleBank(16), train, (0, 1), _FAST, seed=5,
@@ -531,7 +531,7 @@ def test_class_major_batches_diverge_in_epoch_2():
     ds = train.subset(ids)
 
     def fresh():
-        return (init_luca(32, cfg.r, cfg.luca_config(), seeds[-1]),
+        return (init_luca(32, cfg.r, cfg.luca, seeds[-1]),
                 make_head(32, ids))
 
     with pytest.raises(FloatingPointError,
@@ -600,9 +600,11 @@ def test_reversed_method_flips_config():
     assert fwd.config["reversed"] is False
     # composition order is not a no-op: the trained weights differ even
     # when the (easy) benchmark accuracies happen to coincide
-    rev_sum = entry_checksum(rep.artifacts["bank"].entries[0])
-    fwd_sum = entry_checksum(fwd.artifacts["bank"].entries[0])
-    assert rev_sum != fwd_sum
+    rev_module = rep.artifacts["bank"].entries[0].module
+    fwd_module = fwd.artifacts["bank"].entries[0].module
+    assert rev_module.config.reversed and not fwd_module.config.reversed
+    assert not np.array_equal(rev_module.flat_params(),
+                              fwd_module.flat_params())
 
 
 def test_simplecil_is_strong_on_separated_data():
@@ -856,7 +858,7 @@ def test_fnv1a_matches_the_byte_loop_on_a_d768_entry():
     entry = BankEntry(session_index=1, module=init_luca(768, 48, rng_seed=5),
                       head=make_head(768, (0, 1, 2, 3, 4)))
     blob = engine._entry_bytes(entry)
-    assert len(blob) == 605_212
+    assert len(blob) == 605_216  # 12 + 4 * 5 + 4 * (4 * 768 * 48 + 768 * 5)
     assert fnv1a(blob) == oracle.fnv1a(blob)
 
 
@@ -901,7 +903,7 @@ def test_bank_round_trip(tmp_path):
     bank = _trained_bank(train, _FAST, ((0, 1, 2), (3, 4)))
     p = tmp_path / "bank.luca"
     save_bank(bank, p)
-    back = load_bank(p, config=_FAST.luca_config())
+    back = load_bank(p)
     assert len(back) == len(bank)
     for a, b in zip(bank.entries, back.entries):
         assert entry_checksum(a) == entry_checksum(b)
@@ -928,7 +930,7 @@ def test_bank_round_trip(tmp_path):
     # a one-class session, which routes only on its own, round-trips too
     single = _trained_bank(train, _FAST, ((0,),))
     save_bank(single, p)
-    back = load_bank(p, config=_FAST.luca_config())
+    back = load_bank(p)
     assert entry_checksum(back.entries[0]) == entry_checksum(single.entries[0])
     _assert_routes_alike(single, back, test.features)
 
@@ -939,7 +941,7 @@ def test_a_loaded_module_does_not_train_as_init(tmp_path):
     train_session(bank, train, (0, 1), _FAST, seed=5)
     p = tmp_path / "bank.luca"
     save_bank(bank, p)
-    loaded = load_bank(p, config=_FAST.luca_config()).entries[0].module
+    loaded = load_bank(p).entries[0].module
     with pytest.raises(ValueError, match="w_down is float64"):
         train_session(ModuleBank(16), train, (2, 3), _FAST, seed=6,
                       init=loaded)
@@ -950,7 +952,7 @@ def test_serving_a_loaded_bank_copies_no_weights(tmp_path, monkeypatch):
     train, test, _ = _small_scenario(num_classes=8)
     save_bank(_trained_bank(train, _FAST, ((0, 1, 2), (3, 4))),
               tmp_path / "bank.luca")
-    bank = load_bank(tmp_path / "bank.luca", config=_FAST.luca_config())
+    bank = load_bank(tmp_path / "bank.luca")
     matrices = []
     f64_matrices = tosca.luca._f64_matrices
 
@@ -997,10 +999,13 @@ def test_bank_file_layout(tmp_path):
     blob = p.read_bytes()
     assert blob[:8] == BANK_MAGIC == b"LUCABANK"
     version, d, r, count = struct.unpack_from("<IIII", blob, 8)
-    assert (version, d, r, count) == (1, 3, 2, 1)
+    assert (version, d, r, count) == (2, 3, 2, 1)
     session, k = struct.unpack_from("<II", blob, 24)
     assert (session, k) == (1, 2)
-    assert struct.unpack_from("<II", blob, 32) == (4, 9)
+    # gelu, sigmoid, gate_residual, not reversed
+    assert tuple(blob[32:36]) == (ACTIVATIONS.index("gelu"),
+                                  ACTIVATIONS.index("sigmoid"), 1, 0)
+    assert struct.unpack_from("<II", blob, 36) == (4, 9)
     # trailing 8 bytes are the FNV-1a of everything after the file header
     (stored,) = struct.unpack_from("<Q", blob, len(blob) - 8)
     assert stored == fnv1a(blob[24:len(blob) - 8])
@@ -1025,7 +1030,7 @@ def test_bank_load_error_paths(tmp_path):
         load_bank(short)
 
     vers = bytearray(blob)
-    vers[8:12] = struct.pack("<I", 2)
+    vers[8:12] = struct.pack("<I", 3)
     bad_version = tmp_path / "version.luca"
     bad_version.write_bytes(bytes(vers))
     with pytest.raises(ValueError, match="unsupported version"):
@@ -1086,14 +1091,45 @@ def test_bank_load_rejects_zero_rank(tmp_path):
     # a rank-0 module would be an identity map, so such a bank would still
     # route; LucaModule refuses r=0, so the file is packed by hand
     d, ids = 3, (0, 1)
-    entry = (struct.pack("<II", 1, len(ids)) + struct.pack("<2I", *ids)
+    entry = (struct.pack("<II4B", 1, len(ids), 1, 2, 0, 0)
+             + struct.pack("<2I", *ids)
              + np.zeros((d, len(ids)), dtype="<f4").tobytes())
     p = tmp_path / "r0.luca"
-    p.write_bytes(BANK_MAGIC + struct.pack("<IIII", 1, d, 0, 1) + entry
+    p.write_bytes(BANK_MAGIC + struct.pack("<IIII", 2, d, 0, 1) + entry
                   + struct.pack("<Q", fnv1a(entry)))
-    assert struct.unpack_from("<IIII", p.read_bytes(), 8) == (1, d, 0, 1)
+    assert struct.unpack_from("<IIII", p.read_bytes(), 8) == (2, d, 0, 1)
     with pytest.raises(ValueError, match="rank r=0 in a bank with entries"):
         load_bank(p)
+
+
+def _packed_bank(tmp_path, version, config_bytes):
+    # one d=3, r=1, K=2 entry with a valid checksum, packed by hand
+    d, r, ids = 3, 1, (0, 1)
+    entry = (struct.pack("<II", 1, len(ids)) + config_bytes
+             + struct.pack("<2I", *ids)
+             + np.full(4 * d * r + d * len(ids), 0.125, "<f4").tobytes())
+    p = tmp_path / "packed.luca"
+    p.write_bytes(BANK_MAGIC + struct.pack("<IIII", version, d, r, 1) + entry
+                  + struct.pack("<Q", fnv1a(entry)))
+    return p
+
+
+@pytest.mark.parametrize("codes,message", [
+    ((3, 2, 0, 0), "unknown adapter_act code 3"),
+    ((1, 3, 0, 0), "unknown gate_act code 3"),
+    ((1, 2, 2, 0), "unknown gate_residual code 2"),
+    ((1, 2, 0, 255), "unknown reversed code 255"),
+])
+def test_bank_load_rejects_an_unknown_config_code(tmp_path, codes, message):
+    load_bank(_packed_bank(tmp_path, 2, bytes((1, 2, 0, 0))))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_bank(_packed_bank(tmp_path, 2, bytes(codes)))
+
+
+def test_bank_load_refuses_a_version_1_file(tmp_path):
+    # version 1 stored no config bytes: a well-formed v1 file is refused
+    with pytest.raises(ValueError, match="unsupported version"):
+        load_bank(_packed_bank(tmp_path, 1, b""))
 
 
 def test_bank_load_rejects_non_finite_head(tmp_path):
@@ -1106,23 +1142,30 @@ def test_bank_load_rejects_non_finite_head(tmp_path):
         load_bank(p)
 
 
-def test_load_bank_applies_given_config(tmp_path):
-    # every activation pair, order and gate form round-trips bit for bit
+def test_load_bank_reads_each_config_back(tmp_path):
+    # every activation pair, order and gate form loads as trained, routes
+    # bit for bit and saves back to the same bytes
     train, test, _ = _small_scenario(num_classes=8)
-    p = tmp_path / "bank.luca"
-    for adapter_act, gate_act, reversed_, gate_residual in itertools.product(
-            ACTIVATIONS, ACTIVATIONS, (False, True), (False, True)):
-        cfg = replace(_FAST, adapter_act=adapter_act, gate_act=gate_act,
-                      reversed=reversed_, gate_residual=gate_residual)
+    p, again = tmp_path / "bank.luca", tmp_path / "again.luca"
+    configs = [LucaConfig(*c) for c in itertools.product(
+        ACTIVATIONS, ACTIVATIONS, (False, True), (False, True))]
+    for luca in configs:
+        cfg = replace(_FAST, luca=luca)
         # equal K, so that no K = 1 session takes every row
         bank = _trained_bank(train, cfg, ((0, 1), (2, 3), (4, 5)))
         assert len(np.unique(route(test.features, bank).sessions)) > 1
         save_bank(bank, p)
-        same = load_bank(p, config=cfg.luca_config())
-        _assert_routes_alike(bank, same, test.features)
-        # the container stores no activation flags: defaults give another map
-        other = load_bank(p)
-        assert other.entries[0].module.config == LucaConfig()
-        if cfg.luca_config() != LucaConfig():
-            assert not np.array_equal(route(test.features, bank).entropies,
-                                      route(test.features, other).entropies)
+        back = load_bank(p)
+        assert [e.module.config for e in back.entries] == [luca] * 3
+        _assert_routes_alike(bank, back, test.features)
+        save_bank(back, again)
+        assert again.read_bytes() == p.read_bytes()
+    # sessions of one bank may differ in config
+    bank = ModuleBank(train.d)
+    for seed, (ids, luca) in enumerate(zip(((0, 1), (2, 3), (4, 5)),
+                                           configs[::17]), start=5):
+        train_session(bank, train, ids, replace(_FAST, luca=luca), seed)
+    save_bank(bank, p)
+    back = load_bank(p)
+    assert [e.module.config for e in back.entries] == configs[::17]
+    _assert_routes_alike(bank, back, test.features)

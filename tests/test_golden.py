@@ -61,25 +61,25 @@ GOLDEN = {
         "tosca.report":
             "9a20a2359e3dad9f038df7025c0e3c9b0ebfa0ef392dd733636ec34d5f83ea5f",
         "tosca.bank":
-            "35b272b7c6d91a692a0714d0c44dd2728e2b533f71fbf26dcdd9c8dec50d5db4",
+            "92506eea97ea3445d4fa9f58c3e5fd65d6ccdfbdefccb028bde3e7be382f0d7b",
         "tosca.weights":
             "691ec31da4e1b71c23a87e8e893382a15fadda56bc15940e73ff169bff4ecd59",
         "tosca_r.report":
             "083f2c168ae738b5b65e83a3e9a876e27720d3097eb0243042c4e96805d33d26",
         "tosca_r.bank":
-            "4da8cf82eab7c0263cabae25c703b9fc7ea10eea43c7bcb3419c037fbdfa3525",
+            "3af0ac402afb9923c4d6d176138fd79340bb001a98806feec90fc6a8538ea9ac",
         "tosca_r.weights":
             "f9d5cef06e8756c091f06bfb49e777a78527cff9949e47379b017c2569a1e213",
         "finetune.report":
             "2186318cefb85aa749a02862b801779b3bcfdc989a1f0a281ceb95c4f1ce453f",
         "finetune.model":
-            "e73c63f34f311e3eaf4e93d92f040e7c57ca6e7944f3d3dd9f4e76d6fdafad07",
+            "b06c12777b4d9909081f3aec58a92270b1b5c4d61a63d074ed47ae5d36bfa578",
         "finetune.weights":
             "5268cb71c78bf517159e0b35eeec451660b8c94644e7d444dac4fab8f56c397d",
         "joint.report":
             "cd888fccf32419e86a9ceeafbdc243586d27e13ec9d4bbcbf9f7aa94fde1bc19",
         "joint.model":
-            "ea2fe4d98530a48034f0920de781d129c3b80ee1a877d0c9583c3e66a9b7c601",
+            "ef57d88d32cd9d27d47dc18038cb7e9da5b406f5cfe1ad4e0c2ba59690cf7c2c",
         "joint.weights":
             "8cf7dc875cac5322c3fa4da56cad84c87af1715b996a24128db39a8f238d482b",
         "simplecil.report":
@@ -89,25 +89,25 @@ GOLDEN = {
         "tosca.report":
             "353846bab6e6341c1204c03a7683b7a6fa75e68002321c60ab0fdee0da425a96",
         "tosca.bank":
-            "0a2581e2bed551843b104955bf8c1525bf3656c330036f2493caf67e3068e912",
+            "a856fa20fce3891e36c86a07735e59c85b20b87cb1f29b2df443048b36c90b4c",
         "tosca.weights":
             "e28c0586e8970656104567a629ab724f5f8dcef99146f87e191c7ba80201f672",
         "tosca_r.report":
             "20c0d2d5f11e4cc462680bf4aeecd7446a18614eb6536b51b7db8e6a24ba5d6e",
         "tosca_r.bank":
-            "4fca7d328d7a1382814b827d1c721d0eeab1b13b276bb45942ba40427f584532",
+            "157e0f75de9d691fc529cb97f24ff6543b3f316e55662796fd436f2c51cb7c48",
         "tosca_r.weights":
             "a744dfefb79cd35cf1f1d2ab56a75073a3b485be4e6976c27147c0cd4ca97ed9",
         "finetune.report":
             "8b54fbc044f479553d1523201ca440e90b52d7a6a07b7f1f149644db8285d673",
         "finetune.model":
-            "56bad6181c45f0824a109f58411480e57786172ccf6f6c350dd165a2026cc6f4",
+            "f636f129c2c44857d9c802a1c19628d6fc558a94749c874aec8b3a049d806f8a",
         "finetune.weights":
             "703fb23c74cdc4083b6bd3f1b4600980255d23ad50acb3f213dd5b4fa1a3a7a9",
         "joint.report":
             "86bfcdfc702663f72719ff266e7be9d0b7e486832317ed935dbe14b3a02c7a94",
         "joint.model":
-            "517cee4a0cc0d5b3abd5126e5c0b3f648659b03abf0dff59b65e988da63565fd",
+            "7b2dca5c7a4a9be86cc687cde53b8a2cba9fcde051c9d90e2f85133c6fb4d4dc",
         "joint.weights":
             "e198b87fa6f03230aae5ee8d141411ce4db22d20c7e1cac39b0e4038d26970a0",
         "simplecil.report":
