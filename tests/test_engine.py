@@ -1087,24 +1087,9 @@ def test_bank_load_checks_the_entry_count_first(tmp_path):
         load_bank(p)
 
 
-def test_bank_load_rejects_zero_rank(tmp_path):
-    # a rank-0 module would be an identity map, so such a bank would still
-    # route; LucaModule refuses r=0, so the file is packed by hand
+def _packed_bank(tmp_path, version, config_bytes, r=1):
+    # one d=3, K=2 entry with a valid checksum, packed by hand
     d, ids = 3, (0, 1)
-    entry = (struct.pack("<II4B", 1, len(ids), 1, 2, 0, 0)
-             + struct.pack("<2I", *ids)
-             + np.zeros((d, len(ids)), dtype="<f4").tobytes())
-    p = tmp_path / "r0.luca"
-    p.write_bytes(BANK_MAGIC + struct.pack("<IIII", 2, d, 0, 1) + entry
-                  + struct.pack("<Q", fnv1a(entry)))
-    assert struct.unpack_from("<IIII", p.read_bytes(), 8) == (2, d, 0, 1)
-    with pytest.raises(ValueError, match="rank r=0 in a bank with entries"):
-        load_bank(p)
-
-
-def _packed_bank(tmp_path, version, config_bytes):
-    # one d=3, r=1, K=2 entry with a valid checksum, packed by hand
-    d, r, ids = 3, 1, (0, 1)
     entry = (struct.pack("<II", 1, len(ids)) + config_bytes
              + struct.pack("<2I", *ids)
              + np.full(4 * d * r + d * len(ids), 0.125, "<f4").tobytes())
@@ -1112,6 +1097,15 @@ def _packed_bank(tmp_path, version, config_bytes):
     p.write_bytes(BANK_MAGIC + struct.pack("<IIII", version, d, r, 1) + entry
                   + struct.pack("<Q", fnv1a(entry)))
     return p
+
+
+def test_bank_load_rejects_zero_rank(tmp_path):
+    # a rank-0 module would be an identity map, so such a bank would still
+    # route; LucaModule refuses r=0, so the file is packed by hand
+    p = _packed_bank(tmp_path, 2, bytes((1, 2, 0, 0)), r=0)
+    assert struct.unpack_from("<IIII", p.read_bytes(), 8) == (2, 3, 0, 1)
+    with pytest.raises(ValueError, match="rank r=0 in a bank with entries"):
+        load_bank(p)
 
 
 @pytest.mark.parametrize("codes,message", [
