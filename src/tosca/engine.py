@@ -906,14 +906,19 @@ def entry_checksum(entry: BankEntry) -> int:
 
 
 def save_bank(bank: ModuleBank, path) -> None:
+    """Write the bank to ``path``.
+
+    Every entry and its checksum is serialized before the file is opened,
+    so an entry that cannot be serialized raises with an existing file
+    left as it was and no new file made.
+    """
+    parts = [BANK_MAGIC, struct.pack("<IIII", BANK_VERSION, bank.feature_dim,
+                                     bank.rank, len(bank))]
+    for entry in bank.entries:
+        blob = _entry_bytes(entry)
+        parts += (blob, struct.pack("<Q", fnv1a(blob)))
     with open(path, "wb") as fh:
-        fh.write(BANK_MAGIC)
-        fh.write(struct.pack("<IIII", BANK_VERSION, bank.feature_dim,
-                             bank.rank, len(bank)))
-        for entry in bank.entries:
-            blob = _entry_bytes(entry)
-            fh.write(blob)
-            fh.write(struct.pack("<Q", fnv1a(blob)))
+        fh.writelines(parts)
 
 
 def load_bank(path) -> ModuleBank:

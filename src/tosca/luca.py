@@ -16,7 +16,9 @@ the plain multiplicative form.  There are no bias terms anywhere.
 activation derivative shares with the forward: gelu's Phi, the sigmoid's
 output.  The backward hands that to ``activation_grad``, so a training step
 evaluates each ``erf`` and sigmoid once.  Both passes read float64 matrices
-in place and upcast float32 ones.
+in place and upcast float32 ones.  Training gives the backward one flat
+float64 vector as ``out``: each weight gradient is written into its
+``matrix_views`` slice of it, and the input gradient is skipped.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ class LucaConfig:
         for kind in (self.adapter_act, self.gate_act):
             if kind not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {kind!r}")
+        for name in ("gate_residual", "reversed"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got "
+                                 f"{getattr(self, name)!r}")
 
 
 @dataclass
@@ -83,13 +89,21 @@ class LucaModule:
         return np.concatenate([m.astype(np.float64).ravel() for m in self.matrices()])
 
 
+def matrix_views(flat: np.ndarray, d: int, r: int):
+    """(W_down, W_up, V_down, V_up) as views of one vector of 4*d*r entries
+    laid out as ``flat_params``: writing a view writes the vector."""
+    n = d * r
+    return (flat[:n].reshape(d, r), flat[n:2 * n].reshape(r, d),
+            flat[2 * n:3 * n].reshape(d, r), flat[3 * n:].reshape(r, d))
+
+
 @dataclass
 class LucaGradients:
     w_down: np.ndarray
     w_up: np.ndarray
     v_down: np.ndarray
     v_up: np.ndarray
-    d_input: np.ndarray
+    d_input: np.ndarray | None  # None when the backward was given ``out``
 
 
 def init_luca(d: int, r: int, config: LucaConfig | None = None, rng_seed: int = 0,
@@ -129,6 +143,8 @@ def luca_forward(z, m: LucaModule) -> np.ndarray:
 # are samples; gradients are summed over the batch, so pre-scaled upstreams
 # give batch means directly.  Each half of the module has one forward and one
 # gradient formula; the composition order only decides which half runs first.
+# Each builds its temporaries in place, in the operation order of the formula
+# in its comment, and none writes to its inputs or to a cache.
 
 def _adapter_rows(X, wd, wu, cfg: LucaConfig, keep: bool):
     # (out, cache) for out = act_a(X W_down) W_up + X; with ``keep`` the
@@ -138,7 +154,9 @@ def _adapter_rows(X, wd, wu, cfg: LucaConfig, keep: bool):
         S, Sc = activation(cfg.adapter_act, H, return_cache=True)
     else:
         S = activation(cfg.adapter_act, H)
-    return S @ wu + X, ((X, H, S, Sc) if keep else None)
+    out = S @ wu
+    out += X
+    return out, ((X, H, S, Sc) if keep else None)
 
 
 def _calibrator_rows(X, vd, vu, cfg: LucaConfig, keep: bool):
@@ -151,23 +169,47 @@ def _calibrator_rows(X, vd, vu, cfg: LucaConfig, keep: bool):
         T = activation(cfg.gate_act, Q)
     G = T @ vu
     if cfg.gate_residual:
-        G = G + 1.0
-    return X * G, ((X, Q, T, G, Tc) if keep else None)
+        G += 1.0
+    if not keep:
+        G *= X  # the gate is not kept, so the output takes its place
+        return G, None
+    return X * G, (X, Q, T, G, Tc)
 
 
-def _adapter_grads(cache, wd, wu, cfg: LucaConfig, dOut):
-    # (dW_down, dW_up, dX) given _adapter_rows' cache and upstream dOut
+def _adapter_grads(cache, wd, wu, cfg: LucaConfig, dOut, d_wd, d_wu,
+                   need_input: bool):
+    # (dW_down, dW_up, dX) given _adapter_rows' cache and upstream dOut:
+    # dH = (dOut W_up^T) * act_a'(H), dW_down = X^T dH, dW_up = S^T dOut and
+    # dX = dOut + dH W_down^T.  The weight gradients go to d_wd and d_wu
+    # (None allocates); dX is None unless need_input.
     X, H, S, Sc = cache
-    dH = (dOut @ wu.T) * activation_grad(cfg.adapter_act, H, Sc)
-    return X.T @ dH, S.T @ dOut, dOut + dH @ wd.T
+    dH = dOut @ wu.T
+    dH *= activation_grad(cfg.adapter_act, H, Sc)
+    d_wd = np.matmul(X.T, dH, out=d_wd)
+    d_wu = np.matmul(S.T, dOut, out=d_wu)
+    if not need_input:
+        return d_wd, d_wu, None
+    dX = dH @ wd.T
+    dX += dOut
+    return d_wd, d_wu, dX
 
 
-def _calibrator_grads(cache, vd, vu, cfg: LucaConfig, dOut):
-    # (dV_down, dV_up, dX) given _calibrator_rows' cache and upstream dOut
+def _calibrator_grads(cache, vd, vu, cfg: LucaConfig, dOut, d_vd, d_vu,
+                      need_input: bool):
+    # (dV_down, dV_up, dX) given _calibrator_rows' cache and upstream dOut:
+    # dG = dOut * X, dQ = (dG V_up^T) * act_g'(Q), dV_down = X^T dQ,
+    # dV_up = T^T dG and dX = dOut * G + dQ V_down^T; outputs as above
     X, Q, T, G, Tc = cache
     dG = dOut * X
-    dQ = (dG @ vu.T) * activation_grad(cfg.gate_act, Q, Tc)
-    return X.T @ dQ, T.T @ dG, dOut * G + dQ @ vd.T
+    dQ = dG @ vu.T
+    dQ *= activation_grad(cfg.gate_act, Q, Tc)
+    d_vd = np.matmul(X.T, dQ, out=d_vd)
+    d_vu = np.matmul(T.T, dG, out=d_vu)
+    if not need_input:
+        return d_vd, d_vu, None
+    dX = dOut * G
+    dX += dQ @ vd.T
+    return d_vd, d_vu, dX
 
 
 def _f64_matrices(m: LucaModule):
@@ -199,19 +241,34 @@ def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False)
     return out
 
 
-def luca_backward_batch(m: LucaModule, cache, U: np.ndarray) -> LucaGradients:
+def luca_backward_batch(m: LucaModule, cache, U: np.ndarray,
+                        out: np.ndarray | None = None) -> LucaGradients:
     """Batch-summed gradients of sum(U * luca_forward_batch(Z)) given the
-    forward's cache; ``d_input`` keeps one row per sample."""
+    forward's cache; ``d_input`` keeps one row per sample.
+
+    With ``out``, a float64 vector of 4*d*r entries, the four weight
+    gradients are written into it in ``flat_params`` order (the returned
+    ones are its ``matrix_views``) and the input gradient, which training
+    discards, is not computed: ``d_input`` is None.  The weight gradients
+    are the same bits either way.
+    """
     wd, wu, vd, vu = _f64_matrices(m)
     cfg = m.config
     U = np.asarray(U, dtype=np.float64)
     adapter_cache, calibrator_cache = cache
+    o_wd, o_wu, o_vd, o_vu = ((None,) * 4 if out is None
+                              else matrix_views(out, m.d, m.r))
+    need_input = out is None
     if cfg.reversed:
-        d_wdown, d_wup, dC = _adapter_grads(adapter_cache, wd, wu, cfg, U)
-        d_vdown, d_vup, dZ = _calibrator_grads(calibrator_cache, vd, vu, cfg, dC)
+        d_wdown, d_wup, dC = _adapter_grads(adapter_cache, wd, wu, cfg, U,
+                                            o_wd, o_wu, True)
+        d_vdown, d_vup, dZ = _calibrator_grads(calibrator_cache, vd, vu, cfg,
+                                               dC, o_vd, o_vu, need_input)
     else:
-        d_vdown, d_vup, dA = _calibrator_grads(calibrator_cache, vd, vu, cfg, U)
-        d_wdown, d_wup, dZ = _adapter_grads(adapter_cache, wd, wu, cfg, dA)
+        d_vdown, d_vup, dA = _calibrator_grads(calibrator_cache, vd, vu, cfg,
+                                               U, o_vd, o_vu, True)
+        d_wdown, d_wup, dZ = _adapter_grads(adapter_cache, wd, wu, cfg, dA,
+                                            o_wd, o_wu, need_input)
     return LucaGradients(w_down=d_wdown, w_up=d_wup, v_down=d_vdown, v_up=d_vup,
                          d_input=dZ)
 
@@ -255,7 +312,9 @@ _CHECK_ROWS = 3  # more than one, so the sums over the batch are checked too
 def gradient_check(trials: int = 20, d_max: int = 16, r_max: int = 4,
                    h: float = 1e-5, seed: int = 7041) -> float:
     """Max relative error of ``luca_backward_batch`` vs central differences
-    of sum(U * luca_forward_batch(Z)) on three-row batches.
+    of sum(U * luca_forward_batch(Z)) on three-row batches.  The weight
+    gradients are checked as training receives them, written into one flat
+    vector through ``out``, and the input gradient from a call without it.
 
     Cycles through all 9 (adapter_act, gate_act) pairs and both gate/order
     flags across ``trials`` random float64 modules.  Inputs are resampled when
@@ -300,15 +359,18 @@ def _sample_away_from_kinks(gen, m, margin: float = 1e-6, attempts: int = 200):
 
 
 def _module_fd_error(Z, cache, m: LucaModule, U, h: float) -> float:
-    analytic = luca_backward_batch(m, cache, U)
+    # the weight gradients as training receives them, written into one flat
+    # vector; the input gradient from the call that computes it
+    flat = np.empty(4 * m.d * m.r)
+    luca_backward_batch(m, cache, U, out=flat)
+    d_input = luca_backward_batch(m, cache, U).d_input
 
     def probe() -> float:
         return float(np.sum(U * luca_forward_batch(Z, m)))
 
-    checked = [(getattr(m, name), getattr(analytic, name))
-               for name in ("w_down", "w_up", "v_down", "v_up")]
+    checked = list(zip(m.matrices(), matrix_views(flat, m.d, m.r)))
     worst = 0.0
-    for arr, grad in checked + [(Z, analytic.d_input)]:
+    for arr, grad in checked + [(Z, d_input)]:
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index

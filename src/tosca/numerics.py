@@ -15,6 +15,12 @@ it back as ``cache`` and then evaluates no ``erf`` or sigmoid: gelu's
 derivative is ``cdf + x * pdf`` and the sigmoid's ``T * (1 - T)``.  Without a
 cache it computes the same value with the same operations, so both routes
 give the same bits.
+
+Each function builds its temporaries in place, in the operation order of
+its formula, so the bits are those of the formula written out.  The first
+step writes into ``np.empty_like`` of the input, which keeps a 0-d input an
+array that the in-place steps can update.  No function writes to its
+inputs or to a cache.
 """
 
 from __future__ import annotations
@@ -30,13 +36,22 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; one division serves both signs of x
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     # Phi(x), the standard normal CDF
-    return 0.5 * (1.0 + erf(x / _SQRT2))
+    cdf = np.divide(x, _SQRT2, out=np.empty_like(x))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
 def activation(kind: str, x, return_cache: bool = False):
@@ -70,18 +85,26 @@ def activation_grad(kind: str, x, cache=None) -> np.ndarray:
         return np.where(x > 0, 1.0, 0.0)
     if kind == "gelu":
         cdf = _gelu_cdf(x) if cache is None else cache
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return cdf + x * pdf
+        grad = np.multiply(-0.5, x, out=np.empty_like(x))
+        grad *= x
+        np.exp(grad, out=grad)
+        grad *= _INV_SQRT_2PI  # the pdf
+        grad *= x
+        grad += cdf
+        return grad
     if kind == "sigmoid":
         s = _stable_sigmoid(x) if cache is None else cache
-        return s * (1.0 - s)
+        grad = np.subtract(1.0, s, out=np.empty_like(s))
+        grad *= s
+        return grad
     raise ValueError(f"unknown activation {kind!r}")
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Softmax of every row: subtract the row max, exp, divide by the row
     sum.  Finite logits are the caller's to check."""
-    P = np.exp(logits - logits.max(axis=1, keepdims=True))
+    P = logits - logits.max(axis=1, keepdims=True)
+    np.exp(P, out=P)
     P /= P.sum(axis=1, keepdims=True)
     return P
 

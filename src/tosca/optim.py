@@ -2,13 +2,20 @@
 
 Parameters live in float32 (``train_epochs`` refuses any other dtype) but
 every update runs in float64.
-``train_epochs`` builds one float64 working copy of each of the module's four
-matrices and of the head when it starts, and the forward, backward and step
-read those.  After each step it writes the float32 weights from the float64
-result and refreshes the copy from them, so the next step sees exactly
+``train_epochs`` keeps the module's four matrices in one flat float32
+vector, laid out as ``LucaModule.flat_params``, with one float64 working
+copy of it and one flat float64 gradient vector; the head gets a float64
+working copy of its own.  The forward and backward read the working copy
+through ``luca.matrix_views``, and the backward writes each weight gradient
+straight into its view of the gradient vector.  Each step then makes one
+``sgd_l1_step`` call (and, with momentum, one velocity update) over all
+four matrices, writes the float32 vector from the float64 result and
+refreshes the working copy from it, so the next step sees exactly
 f64(f32(new)): the same values, and the same bits, as an upcast of the
-float32 weights at every step, without the per-step copies.  The L1 term
-touches only the module's four matrices, never the head.  Two L1 modes:
+float32 weights at every step, without the per-step copies.  The module's
+own arrays receive the float32 vector at each epoch end, before the loss
+and the divergence check read them.  The L1 term touches only the module's
+four matrices, never the head.  Two L1 modes:
 
   subgradient   theta <- theta - lr * (g + lam * sign(theta)), sign(0) = 0
   proximal      theta <- soft_threshold(theta - lr * g, lr * lam)
@@ -23,7 +30,8 @@ import numpy as np
 
 from .data import FeatureDataset
 from .heads import SessionHead
-from .luca import LucaModule, l1_norm, luca_backward_batch, luca_forward_batch
+from .luca import (LucaModule, l1_norm, luca_backward_batch,
+                   luca_forward_batch, matrix_views)
 from .numerics import softmax_rows
 from .rng import Xoshiro256StarStar
 
@@ -72,12 +80,20 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     if t < 0.0:
         raise ValueError("threshold must be nonnegative")
     v = np.asarray(v, dtype=np.float64)
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    out = np.abs(v, out=np.empty_like(v))
+    out -= t
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(v)
+    return out
 
 
 def sgd_l1_step(theta: np.ndarray, grad: np.ndarray, lr: float, lam: float,
                 mode: str = "subgradient") -> np.ndarray:
-    """One L1-regularized step in float64; caller handles dtype round trips."""
+    """One L1-regularized step in float64; caller handles dtype round trips.
+
+    Returns a new array and leaves ``theta`` and ``grad`` as they are; the
+    one temporary is built in place, in the operation order of the formula.
+    """
     if mode not in L1_MODES:
         raise ValueError(f"unknown l1 mode {mode!r}")
     theta = np.asarray(theta, dtype=np.float64)
@@ -85,24 +101,33 @@ def sgd_l1_step(theta: np.ndarray, grad: np.ndarray, lr: float, lam: float,
     if theta.shape != grad.shape:
         raise ValueError("dimension mismatch")
     if mode == "subgradient":
-        return theta - lr * (grad + lam * np.sign(theta))
-    return soft_threshold(theta - lr * grad, lr * lam)
+        # theta - lr * (grad + lam * sign(theta))
+        step = np.sign(theta, out=np.empty_like(theta))
+        step *= lam
+        step += grad
+        step *= lr
+        return np.subtract(theta, step, out=step)
+    # soft_threshold(theta - lr * grad, lr * lam)
+    moved = np.multiply(lr, grad, out=np.empty_like(grad))
+    np.subtract(theta, moved, out=moved)
+    return soft_threshold(moved, lr * lam)
 
 
-def _batch_loss_grads(module, head_w, Z, y_cols):
-    """Mean cross-entropy over the batch plus the gradients that produce it,
-    for float64 module matrices and head weights ``head_w``."""
+def _batch_loss_grads(module, head_w, Z, y_cols, grad, d_head):
+    """Summed cross-entropy over the batch, for float64 module matrices and
+    head weights ``head_w``.  The gradients of its batch mean are written
+    into ``grad``, the module's as one flat vector, and ``d_head``."""
     B = Z.shape[0]
+    rows = np.arange(B)
     feats, cache = luca_forward_batch(Z, module, return_cache=True)
     P = softmax_rows(feats @ head_w)
-    ce = float(-np.log(P[np.arange(B), y_cols] + 1e-300).sum())
+    ce = float(-np.log(P[rows, y_cols] + 1e-300).sum())
     dlogits = P  # P minus the one-hot labels, built in place
-    dlogits[np.arange(B), y_cols] -= 1.0
+    dlogits[rows, y_cols] -= 1.0
     dlogits /= B
-    d_head = feats.T @ dlogits
-    d_feats = dlogits @ head_w.T
-    grads = luca_backward_batch(module, cache, d_feats)
-    return ce, d_head, grads
+    np.matmul(feats.T, dlogits, out=d_head)
+    luca_backward_batch(module, cache, dlogits @ head_w.T, out=grad)
+    return ce
 
 
 def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
@@ -142,14 +167,20 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
     batches = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = batches * cfg.epochs
 
-    # float64 working copies, refreshed from the float32 weights every step
-    work = replace(module, **{name: getattr(module, name).astype(np.float64)
-                              for name in mats})
+    # the four matrices as one float32 vector, and its float64 working copy,
+    # refreshed from it every step; the module's forward reads the copy
+    d, r = module.d, module.r
+    flat32 = np.empty(4 * d * r, dtype=np.float32)
+    for view, cur in zip(matrix_views(flat32, d, r), module.matrices()):
+        view[...] = cur
+    flat = flat32.astype(np.float64)
+    work = replace(module, **dict(zip(mats, matrix_views(flat, d, r))))
     head_w = head.w.astype(np.float64)
-    vel = {name: np.zeros_like(getattr(module, name), dtype=np.float64)
-           for name in mats} if cfg.momentum > 0.0 else None
-    vel_head = (np.zeros_like(head.w, dtype=np.float64)
-                if cfg.momentum > 0.0 else None)
+    grad = np.empty_like(flat)
+    d_head = np.empty_like(head_w)
+    momentum = cfg.momentum > 0.0
+    vel = np.zeros_like(flat) if momentum else None
+    vel_head = np.zeros_like(head_w) if momentum else None
 
     step = 0
     trace = []
@@ -159,24 +190,22 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
         for b in range(batches):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             lr = cosine_lr(step, total_steps, cfg)
-            ce, d_head, grads = _batch_loss_grads(work, head_w, Z[idx],
-                                                  y_cols[idx])
-            epoch_ce += ce
-            for name in mats:
-                g = getattr(grads, name)
-                if vel is not None:
-                    vel[name] = cfg.momentum * vel[name] + g
-                    g = vel[name]
-                cur, w = getattr(module, name), getattr(work, name)
-                cur[...] = sgd_l1_step(w, g, lr, cfg.lambda_l1, cfg.l1_mode)
-                w[...] = cur
-            g = d_head
-            if vel_head is not None:
-                vel_head[...] = cfg.momentum * vel_head + g
-                g = vel_head
-            head.w[...] = head_w - lr * g
+            epoch_ce += _batch_loss_grads(work, head_w, Z[idx], y_cols[idx],
+                                          grad, d_head)
+            g, g_head = grad, d_head
+            if momentum:
+                vel *= cfg.momentum
+                vel += grad
+                vel_head *= cfg.momentum
+                vel_head += d_head
+                g, g_head = vel, vel_head
+            flat32[...] = sgd_l1_step(flat, g, lr, cfg.lambda_l1, cfg.l1_mode)
+            flat[...] = flat32
+            head.w[...] = head_w - lr * g_head
             head_w[...] = head.w
             step += 1
+        for cur, view in zip(module.matrices(), matrix_views(flat32, d, r)):
+            cur[...] = view
         loss = epoch_ce / n + cfg.lambda_l1 * l1_norm(module)
         if not math.isfinite(loss):
             raise FloatingPointError(f"training diverged in epoch {epoch}")

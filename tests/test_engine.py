@@ -984,6 +984,34 @@ def test_serving_a_loaded_bank_copies_no_weights(tmp_path, monkeypatch):
         assert np.shares_memory(used, w)
 
 
+def _bank_with_an_unserializable_second_entry():
+    bank = ModuleBank(3)
+    bank.append(_entry(1, 3, (4, 9)))
+    bank.append(_entry(2, 3, (5, 6), seed=1))
+    # set after construction, which LucaConfig would refuse
+    bank.entries[1].module.config.gate_residual = "yes"
+    return bank
+
+
+def test_a_failed_save_leaves_an_existing_bank_file_as_it_was(tmp_path):
+    p = tmp_path / "bank.luca"
+    good = ModuleBank(3)
+    good.append(_entry(1, 3, (4, 9)))
+    save_bank(good, p)
+    before = p.read_bytes()
+    with pytest.raises(ValueError):
+        save_bank(_bank_with_an_unserializable_second_entry(), p)
+    assert p.read_bytes() == before
+    assert load_bank(p).entries[0].class_ids == (4, 9)
+
+
+def test_a_failed_save_makes_no_file(tmp_path):
+    p = tmp_path / "bank.luca"
+    with pytest.raises(ValueError):
+        save_bank(_bank_with_an_unserializable_second_entry(), p)
+    assert not p.exists()
+
+
 def test_empty_bank_round_trip(tmp_path):
     p = tmp_path / "empty.luca"
     save_bank(ModuleBank(7), p)

@@ -11,11 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import tosca.luca
 from oracle import adapter_forward, calibrator_forward, luca_backward
 from tosca.luca import (LucaConfig, LucaModule, gradient_check, init_luca,
                         l1_norm, layerwise_adapter_count, luca_backward_batch,
-                        luca_forward, luca_forward_batch, param_count,
-                        sparsity_ratio)
+                        luca_forward, luca_forward_batch, matrix_views,
+                        param_count, sparsity_ratio)
 from tosca.numerics import ACTIVATIONS
 from tosca.rng import Xoshiro256StarStar
 
@@ -118,6 +119,14 @@ def test_input_validation():
         LucaModule(d=2, r=1, w_down=np.array([[np.nan], [0.0]]),
                    w_up=np.zeros((1, 2)), v_down=np.zeros((2, 1)),
                    v_up=np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("value", ["yes", 1, 0, None])
+@pytest.mark.parametrize("field", ["gate_residual", "reversed"])
+def test_config_refuses_a_flag_that_is_not_a_bool(field, value):
+    # a truthy string would train, then fail to serialize into a bank
+    with pytest.raises(ValueError, match=f"^{field} must be a bool"):
+        LucaConfig(**{field: value})
 
 
 def test_module_rejects_empty_dimensions():
@@ -280,6 +289,63 @@ def test_batch_backward_matches_finite_differences(adapter_act, gate_act,
             break
     U = gen.normals(B * d).reshape(B, d)
     _assert_grads_match(luca_backward_batch(m, cache, U), _fd_grads(Z, m, U))
+
+
+_CONFIGS = [LucaConfig(adapter_act=a, gate_act=g, gate_residual=res,
+                       reversed=rev)
+            for a in ACTIVATIONS for g in ACTIVATIONS
+            for res in (False, True) for rev in (False, True)]
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=str)
+def test_backward_into_a_flat_buffer_matches_the_returned_gradients(cfg):
+    # the weight gradients training receives, written into one flat vector,
+    # are the bits of the backward that allocates them
+    gen = Xoshiro256StarStar(307)
+    B, d, r = 5, 6, 3
+    m = _random_module(gen, d, r, cfg)
+    Z = gen.normals(B * d).reshape(B, d)
+    U = gen.normals(B * d).reshape(B, d)
+    _, cache = luca_forward_batch(Z, m, return_cache=True)
+    want = luca_backward_batch(m, cache, U)
+    flat = np.full(4 * d * r, np.nan)
+    got = luca_backward_batch(m, cache, U, out=flat)
+    assert got.d_input is None
+    assert np.array_equal(flat, np.concatenate(
+        [getattr(want, slot).ravel() for slot in _SLOTS]))
+    for slot, view in zip(_SLOTS, matrix_views(flat, d, r)):
+        assert getattr(got, slot).base is flat
+        assert np.array_equal(getattr(got, slot), view)
+    # the call with ``out`` left the cache for the next one
+    again = luca_backward_batch(m, cache, U)
+    for slot in _SLOTS + ("d_input",):
+        assert np.array_equal(getattr(again, slot), getattr(want, slot))
+
+
+def test_gradient_check_checks_the_gradients_written_into_out(monkeypatch):
+    # the built-in check reads the weight gradients from a flat ``out``, as
+    # training does: a fault confined to that path must not pass
+    real = luca_backward_batch
+
+    def skewed(m, cache, U, out=None):
+        grads = real(m, cache, U, out=out)
+        if out is not None:
+            out *= 1.01
+        return grads
+
+    monkeypatch.setattr(tosca.luca, "luca_backward_batch", skewed)
+    assert gradient_check(trials=4) > 1e-3
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS, ids=str)
+def test_forward_leaves_its_inputs_unchanged(cfg):
+    gen = Xoshiro256StarStar(311)
+    m = _random_module(gen, 6, 3, cfg)
+    Z = gen.normals(4 * 6).reshape(4, 6)
+    before = [a.tobytes() for a in (Z,) + m.matrices()]
+    for keep in (False, True):
+        luca_forward_batch(Z, m, return_cache=keep)
+        assert [a.tobytes() for a in (Z,) + m.matrices()] == before
 
 
 def test_upstream_zero_gives_zero_grads():

@@ -108,6 +108,33 @@ def test_activations_are_bit_identical_to_their_defining_formulas():
                                   _bits(want_grad))
 
 
+def test_activations_leave_their_inputs_unchanged():
+    # each result is built in place in its own array, never in x or a cache
+    x = _bitwise_grid()
+    x_bits = x.tobytes()
+    with np.errstate(all="ignore"):
+        for kind in ACTIVATIONS:
+            out, cache = activation(kind, x, return_cache=True)
+            kept = None if cache is None else cache.tobytes()
+            out_bits = out.tobytes()
+            activation(kind, x)
+            activation_grad(kind, x)
+            activation_grad(kind, x, cache)
+            assert x.tobytes() == x_bits
+            assert out.tobytes() == out_bits
+            assert kept is None or cache.tobytes() == kept
+
+
+def test_activations_take_a_0d_input():
+    for kind in ACTIVATIONS:
+        x = np.float64(0.3)
+        out, cache = activation(kind, x, return_cache=True)
+        want = activation(kind, np.array([0.3]))[0]
+        assert float(out) == want
+        assert float(activation_grad(kind, x, cache)) == float(
+            activation_grad(kind, np.array([0.3]))[0])
+
+
 def test_relu_grad_at_zero_is_zero():
     assert float(activation_grad("relu", np.array([0.0]))[0]) == 0.0
 

@@ -353,6 +353,58 @@ def test_training_matches_the_per_step_round_trip_bit_for_bit(pair_index, rule):
     assert not np.array_equal(got_m.w_down, w_down_at_init)
 
 
+@pytest.mark.parametrize("rev", [False, True])
+@pytest.mark.parametrize("res", [False, True])
+@pytest.mark.parametrize("pair_index", range(len(_PAIRS)))
+def test_training_steps_on_the_backward_gradients_bit_for_bit(
+        pair_index, res, rev, monkeypatch):
+    # every step's optimizer call receives, as one flat vector, exactly the
+    # weight gradients that the allocating backward returns for its batch
+    expected, received = [], []
+    real_backward, real_step = optim.luca_backward_batch, optim.sgd_l1_step
+
+    def backward(m, cache, U, out=None):
+        assert out is not None and out.dtype == np.float64
+        want = real_backward(m, cache, U)
+        expected.append(np.concatenate([want.w_down.ravel(), want.w_up.ravel(),
+                                        want.v_down.ravel(), want.v_up.ravel()]))
+        return real_backward(m, cache, U, out=out)
+
+    def step(theta, grad, lr, lam, mode="subgradient"):
+        received.append(grad.copy())
+        return real_step(theta, grad, lr, lam, mode)
+
+    monkeypatch.setattr(optim, "luca_backward_batch", backward)
+    monkeypatch.setattr(optim, "sgd_l1_step", step)
+    adapter_act, gate_act = _PAIRS[pair_index]
+    cfg = LucaConfig(adapter_act=adapter_act, gate_act=gate_act,
+                     gate_residual=res, reversed=rev)
+    train, _ = synth_gaussian(d=8, num_classes=3, n_train=35, n_test=1,
+                              separation=6.0, sigma=1.0, seed=11)
+    module = init_luca(8, 4, config=cfg, rng_seed=6)
+    train_epochs(module, make_head(8, (0, 1, 2)), train,
+                 OptimConfig(epochs=2), Xoshiro256StarStar(5))
+    assert len(received) == len(expected) == 2 * 3
+    for got, want in zip(received, expected):
+        assert np.array_equal(got, want)
+    # the head starts at zero, so only the first step's gradients are all zero
+    assert np.any(received[-1] != 0.0)
+
+
+@pytest.mark.parametrize("rule", sorted(_STEP_RULES))
+def test_training_keeps_the_callers_own_arrays(rule):
+    # the weights are trained in flat buffers and copied back, never swapped
+    train, module, head = _pair_problem(1)
+    own = list(module.matrices()) + [head.w]
+    m, h, _ = train_epochs(module, head, train,
+                           OptimConfig(epochs=2, **_STEP_RULES[rule]),
+                           Xoshiro256StarStar(5))
+    assert m is module and h is head
+    for mine, now in zip(own, list(m.matrices()) + [h.w]):
+        assert now is mine
+        assert now.dtype == np.float32 and now.flags.c_contiguous
+
+
 @pytest.mark.parametrize("pair_index", range(len(_PAIRS)))
 def test_each_step_evaluates_every_activation_once(pair_index, monkeypatch):
     counts = {"erf": 0, "sigmoid": 0, "activation_grad": 0, "sgd_l1_step": 0}
@@ -376,7 +428,8 @@ def test_each_step_evaluates_every_activation_once(pair_index, monkeypatch):
                  Xoshiro256StarStar(5))
     steps = 2 * 3  # 2 epochs of 3 batches
     halves = _PAIRS[pair_index]
+    # one optimizer call per step updates all four matrices at once
     assert counts == {"erf": steps * halves.count("gelu"),
                       "sigmoid": steps * halves.count("sigmoid"),
                       "activation_grad": 2 * steps,
-                      "sgd_l1_step": 4 * steps}
+                      "sgd_l1_step": steps}
