@@ -8,15 +8,14 @@ path makes that choice for ``predict``, ``predict_batch`` and
 ``evaluate_stage``: ``score_sessions`` gives each session's raw entropy and
 argmax class per row, and ``pick_sessions`` normalises over the sessions
 present and takes the first minimum.  ``route`` runs both on a batch.  A
-banked session never changes, so a scenario keeps each session's scores in
-a ``SessionScores`` cache over its test rows: stage b scores session b on
-the rows through stage b and the older sessions on stage b's new rows only,
-so with equal stages stage b costs 2b - 1 stage-sized forwards, not b**2.
-A session depends only on its own rows, so a scenario trains its sessions
-in up to N processes, N the CPUs this process may run on (at most one per
-stage).  This process and N - 1 forked workers run one loop: fit a first
+banked session never changes, so a scenario scores each session once, on
+every test row that some stage reads, right after fitting it; stage b then
+picks among sessions 1..b on its rows, with no forward.  A session depends
+only on its own rows, so a scenario fits and scores its sessions in up to
+N processes, N the CPUs this process may run on (at most one per stage).
+This process and N - 1 forked workers run one loop: fit and score a first
 session, then claim the next stage number from a shared counter, which has
-no length limit, whenever free, so a process slowed by other load trains
+no length limit, whenever free, so a process slowed by other load fits
 fewer; this process evaluates every stage in order.  One CPU runs the same
 loop, counting in process, and starts no process.  Reports and banks do
 not depend on N.
@@ -372,56 +371,6 @@ def predict_batch(Z: np.ndarray, bank: ModuleBank,
     return r.classes, r.sessions
 
 
-class SessionScores:
-    """Raw entropies and argmax classes of a growing bank's sessions on a
-    fixed list of test rows, each (session, row) pair scored once.
-
-    A banked session never changes, so when the bank has grown, ``route``
-    scores only the new sessions on every requested row and the older
-    sessions on the rows not requested before, then picks from the cache.
-    The entropies stay raw: normalisation depends on the sessions present.
-    """
-
-    def __init__(self, labels):
-        self.labels = np.asarray(labels)
-        self.entropies: list = []  # per scored session, (n,) raw nats
-        self.classes: list = []  # per scored session, (n,) argmax class id
-        self.rows = np.zeros(self.labels.size, dtype=bool)  # rows they scored
-
-    def route(self, bank: ModuleBank, test: FeatureDataset,
-              normalize_entropy: bool = True):
-        """(class ids, sessions) for ``test``, which must be the cached rows
-        of its labels, in order, and include the rows routed before;
-        ``bank`` must extend the last bank routed."""
-        if not bank.entries:
-            raise ValueError("empty bank")
-        covered = np.isin(self.labels, test.labels)
-        if (not np.array_equal(self.labels[covered], test.labels)
-                or len(bank) < len(self.entropies)
-                or np.any(self.rows & ~covered)):
-            raise ValueError("test rows or bank do not extend the scored ones")
-        Z = _checked_rows(test.features, bank.feature_dim)
-        at = np.flatnonzero(covered)
-        fresh = ~self.rows[covered]
-        old = len(self.entropies)
-        if old and fresh.any():
-            for i, (_, h, c) in enumerate(
-                    score_sessions(Z[fresh], bank.entries[:old])):
-                self.entropies[i][at[fresh]] = h
-                self.classes[i][at[fresh]] = c
-        new = [(h, c) for _, h, c in score_sessions(Z, bank.entries[old:])]
-        for h, c in new:  # cached once every new session has scored
-            self.entropies.append(np.zeros(self.labels.size))
-            self.classes.append(np.zeros(self.labels.size, dtype=np.int64))
-            self.entropies[-1][at] = h
-            self.classes[-1][at] = c
-        self.rows = covered
-        return pick_sessions(np.stack([h[at] for h in self.entropies]),
-                             np.stack([c[at] for c in self.classes]),
-                             [len(e.class_ids) for e in bank.entries],
-                             normalize_entropy)
-
-
 @dataclass
 class StageEval:
     accuracy: float
@@ -457,16 +406,23 @@ def _score_stage(preds, labels, stage_lists) -> StageEval:
 
 def evaluate_stage(bank: ModuleBank, test: FeatureDataset,
                    normalize_entropy: bool = True,
-                   scores: SessionScores | None = None) -> StageEval:
+                   scores=None) -> StageEval:
     """Stage accuracy and selection accuracy of routing ``test``.
 
-    ``scores``, a cache over the scenario's test rows of which ``test`` is
-    a part, saves re-scoring what an earlier stage scored; without it every
-    session scores every row.
+    ``scores``, an (entropies, classes) pair of (S, n) arrays holding what
+    ``score_sessions`` gives each of the bank's S sessions on the n rows of
+    ``test``, leaves only the pick to do here; without it ``route`` scores
+    every session on every row.
     """
     if scores is None:
-        scores = SessionScores(test.labels)
-    classes = scores.route(bank, test, normalize_entropy)[0]
+        classes = route(test.features, bank, normalize_entropy).classes
+    else:
+        entropies, picks = scores
+        if not entropies.shape == picks.shape == (len(bank), test.n):
+            raise ValueError("scores do not match the bank and test rows")
+        classes = pick_sessions(entropies, picks,
+                                [len(e.class_ids) for e in bank.entries],
+                                normalize_entropy)[0]
     return _score_stage(classes, test.labels,
                         [e.class_ids for e in bank.entries])
 
@@ -540,17 +496,16 @@ def _claim(counter: int) -> int:
     return b
 
 
-def _fits(b, claim, train, stages, seeds, cfg, init):
-    """Yield (stage, (module, head)) for stage ``b``, then for each stage
-    ``claim()`` returns, until it passes the last.  A failed fit claims
-    every session left, yields (stage, exception) and stops, so that no
-    process starts a session the scenario will never use."""
-    while b <= len(stages):
+def _fits(b, claim, fit, stages: int):
+    """Yield (stage, fit(stage)) for stage ``b``, then for each stage
+    ``claim()`` returns, until it passes the last of ``stages``.  A failed
+    fit claims every session left, yields (stage, exception) and stops, so
+    that no process starts a session the scenario will never use."""
+    while b <= stages:
         try:
-            result = _fit_session(train, stages[b - 1], cfg, seeds[b - 1],
-                                  init)
+            result = fit(b)
         except Exception as exc:
-            while claim() <= len(stages):
+            while claim() <= stages:
                 pass
             yield b, exc
             return
@@ -581,9 +536,9 @@ def _train_share(conn, fits) -> None:
 
 
 @contextmanager
-def _session_workers(train, stages, seeds, cfg, init, workers: int):
-    """Yields ``trained(b)``, session b's (module, head), for b in stage
-    order, the sessions trained here and in ``workers - 1`` forked
+def _session_workers(fit, stages: int, workers: int):
+    """Yields ``trained(b)``, ``fit(b)``'s result, for b in 1 .. ``stages``
+    in order, the sessions fitted here and in ``workers - 1`` forked
     processes.
 
     Every process runs ``_fits``: this process starts on session 1 and
@@ -619,9 +574,9 @@ def _session_workers(train, stages, seeds, cfg, init, workers: int):
     def trained(b: int):
         collect(0)
         while b not in done:
-            fit = next(fits, None)
-            if fit:
-                done[fit[0]] = fit[1]
+            fitted = next(fits, None)
+            if fitted:
+                done[fitted[0]] = fitted[1]
                 collect(0)
             elif live:
                 collect(None)
@@ -640,8 +595,7 @@ def _session_workers(train, stages, seeds, cfg, init, workers: int):
             os.pwrite(counter, (workers + 1).to_bytes(8, "little"), 0)
         claim = (count(2).__next__ if counter is None
                  else partial(_claim, counter))
-        share = partial(_fits, claim=claim, train=train, stages=stages,
-                        seeds=seeds, cfg=cfg, init=init)
+        share = partial(_fits, claim=claim, fit=fit, stages=stages)
         fits = share(1)
         for k in range(1, workers):
             conn, child_end = ctx.Pipe(duplex=False)
@@ -671,29 +625,32 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
 
     Stage b is always scored on the test rows of every class seen through
     stage b; A_bar averages those stage accuracies.  ``tosca`` and
-    ``tosca_r`` pass ``evaluate_stage`` a ``SessionScores`` cache, so each
-    (session, test row) pair is forwarded once over the whole scenario, and
-    the stage metrics are those of routing each stage's rows afresh.  Each
-    stage draws its own seed from the master via ``derive_seeds`` so later
-    stages cannot perturb earlier ones.  A training divergence raises
+    ``tosca_r`` score each session once, on a float64 copy of every test
+    row of the split's classes, in the process that fitted it, and pass
+    ``evaluate_stage`` sessions 1..b's entropies and classes on stage b's
+    rows; the stage metrics are those of routing each stage's rows afresh.
+    Each stage draws its own seed from the master via ``derive_seeds`` so
+    later stages cannot perturb earlier ones.  A training divergence raises
     ``FloatingPointError`` naming the method, the stage and the epoch.
 
     Every method checks every stage before any training, raising the
     ``ValueError`` that ``train_session`` would for a stage that overlaps
-    an earlier one or has no training rows.  ``tosca``, ``tosca_r``,
-    ``finetune`` (once per stage, on the stage before's module and head)
-    and ``joint`` (once, on all classes) all fit through ``_fit_session``.
+    an earlier one or has no training rows, and ``ValueError("non-finite
+    features")`` for a NaN or inf in a train or test row of the split's
+    classes.  ``tosca``, ``tosca_r``, ``finetune`` (once per stage, on the
+    stage before's module and head) and ``joint`` (once, on all classes)
+    all fit through ``_fit_session``.
 
     ``tosca`` and ``tosca_r`` train their sessions in up to N processes, N
     the CPUs in ``os.sched_getaffinity`` and at most the stage count.  This
     process also refuses a session of one class among several, as
     ``pick_sessions`` would, draws the shared init, then forks N - 1
-    workers.  It trains session 1 and worker k session k + 1; after that
-    every process claims the next session from a shared counter when it is
-    free, and this process evaluates each stage in order.  One CPU runs the
-    same loop in this process and starts none.  The results do not depend
-    on which process trained each session, and a failure reads the same
-    whichever process met it.  A worker that dies raises ``RuntimeError``
+    workers.  It fits and scores session 1 and worker k session k + 1;
+    after that every process claims the next session from a shared counter
+    when it is free, and this process evaluates each stage in order, from
+    the scores.  One CPU runs the same loop in this process and starts
+    none.  The results do not depend on which process trained each
+    session, and a failure reads the same whichever process met it.  A worker that dies raises ``RuntimeError``
     naming the stage, and no worker outlives the call.
     """
     if method not in METHODS:
@@ -703,8 +660,8 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
         cfg = replace(cfg, luca=replace(cfg.luca, reversed=True))
     if train.d != test.d:
         raise ValueError("dimension mismatch")
-    covered = set(splits.classes_through(splits.num_stages))
-    if not covered <= set(train.class_ids):
+    covered = splits.classes_through(splits.num_stages)
+    if not set(covered) <= set(train.class_ids):
         raise ValueError("split mismatch")
 
     t0 = perf_counter()
@@ -717,6 +674,10 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     for classes in splits.stages:  # every stage, before any training
         session_ids.append(_session_ids(train, classes, taken, d))
         taken.update(session_ids[-1])
+    scored = np.isin(test.labels, covered)
+    for ds, rows in ((train, np.isin(train.labels, covered)), (test, scored)):
+        if not np.isfinite(ds.features).all(axis=1)[rows].all():
+            raise ValueError("non-finite features")
     stages = []
     params = []
     artifacts: dict = {}
@@ -728,18 +689,31 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     if method in ("tosca", "tosca_r"):
         _refuse_one_class([len(ids) for ids in session_ids])
         bank = ModuleBank(d)
-        scores = SessionScores(test.labels)
         init = init_luca(d, cfg.r, cfg.luca, shared_init)
-        with _session_workers(train, session_ids, stage_seeds, cfg, init,
-                              _worker_count(B)) as trained:
+        Z = test.features[scored].astype(np.float64)
+        labels = test.labels[scored]
+        entropies = np.empty((B, labels.size))
+        picks = np.empty((B, labels.size), dtype=np.int64)
+
+        def fit(b: int):
+            """Session b's bank entry, with its raw entropies and argmax
+            classes on every scored row, in the process that fitted it."""
+            module, head = _fit_session(train, session_ids[b - 1], cfg,
+                                        stage_seeds[b - 1], init)
+            entry = BankEntry(session_index=b, module=module, head=head)
+            _, h, c = next(score_sessions(Z, [entry]))
+            return entry, h, c
+
+        with _session_workers(fit, B, _worker_count(B)) as trained:
             for b, ids in enumerate(session_ids, start=1):
                 with _naming_stage(method, f"stage {b}"):
-                    module, head = trained(b)
-                bank.append(BankEntry(session_index=b, module=module,
-                                      head=head))
+                    entry, entropies[b - 1], picks[b - 1] = trained(b)
+                bank.append(entry)
+                rows = np.isin(labels, splits.classes_through(b))
                 record(b, evaluate_stage(
                     bank, test.subset(splits.classes_through(b)),
-                    cfg.normalize_entropy, scores))
+                    cfg.normalize_entropy,
+                    (entropies[:b, rows], picks[:b, rows])))
                 params.append(param_count(d, cfg.r) + d * len(ids))
         artifacts["bank"] = bank
     elif method == "finetune":

@@ -193,6 +193,53 @@ def test_a_worker_error_is_raised_in_the_parent(cpus, monkeypatch):
         run_scenario(train, test, splits, "tosca_r", _FAST, 11)
 
 
+def test_each_process_scores_the_session_it_trained(cpus, monkeypatch,
+                                                    tmp_path):
+    # three stages, three processes: each trains one session, and this
+    # process forwards only its own session, once, over every scored row
+    train, test, splits = _inputs(6, 0)
+    log = tmp_path / "fits"
+    fit = engine._fit_session
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:  # appends of one short line are atomic
+            fh.write(f"{os.getpid()}\n")
+        return fit(*args, **kwargs)
+
+    forwarded = []
+    forward = engine.luca_forward_batch
+
+    def spy(Z, module):
+        forwarded.append(Z.shape[0])
+        return forward(Z, module)
+
+    monkeypatch.setattr(engine, "_fit_session", logged)
+    monkeypatch.setattr(engine, "luca_forward_batch", spy)
+    cpus(3)
+    run_scenario(train, test, splits, "tosca", _FAST, 11)
+    pids = log.read_text().split()
+    assert len(pids) == len(set(pids)) == 3 and str(os.getpid()) in pids
+    assert forwarded == [test.subset(splits.classes_through(3)).n]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_scoring_error_reads_the_same_in_any_process(workers, cpus,
+                                                       monkeypatch):
+    # session 2 is scored here with one worker and in a child with more
+    train, test, splits = _inputs(6, 0)
+    score = engine.score_sessions
+
+    def score_or_fail(Z, entries):
+        if entries[0].session_index == 2:
+            raise ValueError("non-finite logits")
+        return score(Z, entries)
+
+    monkeypatch.setattr(engine, "score_sessions", score_or_fail)
+    cpus(workers)
+    with pytest.raises(ValueError, match="^non-finite logits$"):
+        run_scenario(train, test, splits, "tosca", _FAST, 11)
+
+
 @pytest.mark.parametrize("stages,message", [
     (((0, 1), (2, 3), (4, 1)), "overlapping classes"),
     (((0, 1), (2, 3, 4, 5), ()), "empty session data"),
@@ -205,6 +252,34 @@ def test_every_stage_is_checked_before_a_worker_starts(stages, message, cpus,
         run_scenario(train, test, SplitPlan(stages=stages, seed=0), "tosca",
                      _FAST, 11)
     assert started == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("part", ["train", "test"])
+@pytest.mark.parametrize("method", engine.METHODS)
+def test_non_finite_rows_are_refused_before_any_work(method, part, bad, cpus,
+                                                     started, monkeypatch):
+    # one bad value in one row of a class that stage 2 trains and scores
+    train, test, splits = _inputs(6, 0)
+    ds = train if part == "train" else test
+    ds.features[np.flatnonzero(ds.labels == splits.stages[1][0])[0], 3] = bad
+    work = []
+    for name in ("_fit_session", "build_prototypes"):
+        monkeypatch.setattr(engine, name, lambda *a, **k: work.append(a))
+    cpus(3)
+    with pytest.raises(ValueError, match="^non-finite features$"):
+        run_scenario(train, test, splits, method, _FAST, 11)
+    assert work == [] and started == []
+
+
+@pytest.mark.parametrize("method", engine.METHODS)
+def test_non_finite_rows_outside_the_split_are_not_refused(method):
+    train, test, _ = _inputs(6, 0)
+    for ds in (train, test):
+        ds.features[ds.labels == 5] = np.nan
+    splits = SplitPlan(stages=((0, 1), (2, 3)), seed=0)
+    report = run_scenario(train, test, splits, method, _FAST, 11)
+    assert len(report.stages) == 2
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -277,28 +352,23 @@ def test_a_slow_worker_leaves_its_queue_share_to_the_parent(
     assert forked == serial
 
 
-def test_a_queue_longer_than_its_pipe_hands_out_every_session_once(
-        monkeypatch, tmp_path):
+def test_a_queue_longer_than_its_pipe_hands_out_every_session_once(tmp_path):
     # more workers than CPUs, and more sessions than a default pipe holds
     # as 4-byte tokens: the counter has no such limit
     n = 20_000
-    stages = [(b,) for b in range(1, n + 1)]
-    seeds = list(range(n))
     log = tmp_path / "fits"
 
-    def fit(train, ids, cfg, seed, init):
+    def fit(b):
         with open(log, "a") as fh:  # appends of one short line are atomic
-            fh.write(f"{ids[0]}\n")
-        return ids, seed, os.getpid()
+            fh.write(f"{b}\n")
+        return b, os.getpid()
 
-    monkeypatch.setattr(engine, "_fit_session", fit)
-    with engine._session_workers(None, stages, seeds, None, None,
-                                 4) as trained:
+    with engine._session_workers(fit, n, 4) as trained:
         got = [trained(b) for b in range(1, n + 1)]
-    assert [g[:2] for g in got] == list(zip(stages, seeds))
+    assert [g[0] for g in got] == list(range(1, n + 1))
     assert sorted(int(b) for b in log.read_text().split()) == list(
         range(1, n + 1))
-    assert len({g[2] for g in got}) == 4
+    assert len({g[1] for g in got}) == 4
 
 
 def test_a_process_killed_while_claiming_blocks_no_one():
