@@ -44,11 +44,12 @@ blocks (a wrapping uint64 power sum plus eight bit-packed prefix XORs for
 the low byte), so its temporaries stay near 1 MiB at any entry size.
 ``load_bank`` checks the entry count against the file size first.
 
-A loaded bank is frozen: ``load_bank`` decodes each matrix and head from
-the file's float32 bytes to a read-only float64 array once, holding the
-file's float32 values, so routing it upcasts no weights per call and
-``save_bank`` writes the same bytes back.  A bank built by training keeps
-float32 weights; ``train_epochs`` refuses float64 ones.
+Routing computes in float32 rows and weights; only the (n, K) logits go
+up to float64, for the softmax and the entropy.  A loaded bank is frozen:
+each matrix and head is a read-only float32 view of the file's bytes, so
+loading decodes nothing, routing copies no weights and ``save_bank``
+writes the same bytes back.  A bank built by training keeps float32
+weights too; a loaded module given as an ``init`` is trained as a copy.
 """
 
 from __future__ import annotations
@@ -265,17 +266,23 @@ class Routing:
 
 
 def _checked_rows(Z, d: int) -> np.ndarray:
-    """``Z`` as float64 rows of width ``d``; a NaN or inf entry is refused."""
-    Z = np.asarray(Z, dtype=np.float64)
+    """``Z`` as float32 rows of width ``d``; a NaN or inf entry is refused,
+    and so is a finite one that the cast would make inf."""
+    Z = np.asarray(Z)
     if Z.ndim != 2 or Z.shape[1] != d:
         raise ValueError("dimension mismatch")
     if not np.isfinite(Z).all():
         raise ValueError("non-finite features")
-    return Z
+    with np.errstate(over="ignore"):
+        Z32 = Z.astype(np.float32, copy=False)
+    if not np.isfinite(Z32).all():
+        raise ValueError("features out of float32 range")
+    return Z32
 
 
 def score_sessions(Z: np.ndarray, entries):
-    """Score float64 rows under each entry's session on its own.
+    """Score rows under each entry's session on its own, in the rows' dtype
+    up to the (n, K) logits, which the softmax and entropy take as float64.
 
     Yields, per entry in order, the (n, K) softmax rows, the (n,) raw
     entropies in nats and the (n,) argmax class ids (ties to the lowest
@@ -291,7 +298,7 @@ def score_sessions(Z: np.ndarray, entries):
         logits = head_forward_batch(feats, e.head)
         if not np.isfinite(logits).all():
             raise ValueError("non-finite logits")
-        P = softmax_rows(logits)
+        P = softmax_rows(logits.astype(np.float64))
         logP = np.log(np.where(P > 0.0, P, 1.0))
         h = 0.0 - (P * logP).sum(axis=1)  # a one-hot row gives 0.0, not -0.0
         ids = np.asarray(e.class_ids, dtype=np.int64)
@@ -328,8 +335,9 @@ def pick_sessions(entropies: np.ndarray, classes: np.ndarray, counts,
 def route(Z, bank: ModuleBank, normalize_entropy: bool = True) -> Routing:
     """Score every row under every session and pick the least-entropy one.
 
-    ``score_sessions`` scores, ``pick_sessions`` picks.  A NaN or inf input
-    row is refused before any forward pass.
+    ``score_sessions`` scores, ``pick_sessions`` picks, on the float32
+    rows of ``_checked_rows``.  A NaN or inf input row, or one out of
+    float32 range, is refused before any forward pass.
     """
     if not bank.entries:
         raise ValueError("empty bank")
@@ -350,11 +358,11 @@ def route(Z, bank: ModuleBank, normalize_entropy: bool = True) -> Routing:
 
 
 def predict(x, bank: ModuleBank, normalize_entropy: bool = True) -> Prediction:
-    """Route one sample: ``route`` on a one-row batch.
+    """Route one sample: ``route`` on a one-row batch, so in float32.
 
     Entropies in the result stay unnormalized.
     """
-    z = np.asarray(x, dtype=np.float64)
+    z = np.asarray(x)
     if z.ndim != 1:
         raise ValueError("dimension mismatch")
     r = route(z[None, :], bank, normalize_entropy)
@@ -625,8 +633,8 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
 
     Stage b is always scored on the test rows of every class seen through
     stage b; A_bar averages those stage accuracies.  ``tosca`` and
-    ``tosca_r`` score each session once, on a float64 copy of every test
-    row of the split's classes, in the process that fitted it, and pass
+    ``tosca_r`` score each session once, on the float32 test rows of the
+    split's classes, in the process that fitted it, and pass
     ``evaluate_stage`` sessions 1..b's entropies and classes on stage b's
     rows; the stage metrics are those of routing each stage's rows afresh.
     Each stage draws its own seed from the master via ``derive_seeds`` so
@@ -690,7 +698,7 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
         _refuse_one_class([len(ids) for ids in session_ids])
         bank = ModuleBank(d)
         init = init_luca(d, cfg.r, cfg.luca, shared_init)
-        Z = test.features[scored].astype(np.float64)
+        Z = test.features[scored]
         labels = test.labels[scored]
         entropies = np.empty((B, labels.size))
         picks = np.empty((B, labels.size), dtype=np.int64)
@@ -780,8 +788,9 @@ def module_orthogonality(bank: ModuleBank) -> float:
 
 
 def feature_shift(bank: ModuleBank, features: np.ndarray) -> tuple:
-    """Per session, mean ||L(z) - z|| / ||z|| over the given rows."""
-    Z = _checked_rows(features, bank.feature_dim)
+    """Per session, mean ||L(z) - z|| / ||z|| over the given rows, in
+    float64: squaring a float32 entry beyond about 1.8e19 would overflow."""
+    Z = _checked_rows(features, bank.feature_dim).astype(np.float64)
     if Z.shape[0] == 0:
         raise ValueError("no samples")
     base = np.linalg.norm(Z, axis=1)
@@ -898,8 +907,9 @@ def save_bank(bank: ModuleBank, path) -> None:
 def load_bank(path) -> ModuleBank:
     """Rebuild a bank, each module with the config stored in its entry.
 
-    Every matrix and head is a read-only float64 array holding the file's
-    float32 values, decoded once here so that serving does not upcast.
+    Every matrix and head is a read-only float32 ``np.frombuffer`` view of
+    the file's bytes: nothing is decoded or copied, and serving reads the
+    weights in place.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -940,10 +950,10 @@ def load_bank(path) -> ModuleBank:
             nbytes = 4 * shape[0] * shape[1]
             if len(blob) < off + nbytes:
                 raise ValueError("unexpected end of file")
-            arr = np.frombuffer(blob, dtype="<f4", count=shape[0] * shape[1],
-                                offset=off).reshape(shape).astype(np.float64)
-            arr.flags.writeable = False  # a loaded bank is frozen
-            mats.append(arr)
+            # a view of the bytes, so read-only: a loaded bank is frozen
+            mats.append(np.frombuffer(blob, dtype="<f4",
+                                      count=shape[0] * shape[1],
+                                      offset=off).reshape(shape))
             off += nbytes
         if len(blob) < off + 8:
             raise ValueError("unexpected end of file")

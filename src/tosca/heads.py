@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import float_array
+
 
 @dataclass
 class SessionHead:
@@ -61,8 +63,9 @@ def head_forward(z, head: SessionHead) -> np.ndarray:
 
 
 def head_forward_batch(Z: np.ndarray, head: SessionHead) -> np.ndarray:
-    Z = np.asarray(Z, dtype=np.float64)
-    return Z @ np.asarray(head.w, dtype=np.float64)
+    """Logits for every row of Z, Z @ W in ``float_array(Z)``'s dtype."""
+    Z = float_array(Z)
+    return Z @ np.asarray(head.w, dtype=Z.dtype)
 
 
 def extend_head(head: SessionHead, new_class_ids) -> SessionHead:

@@ -15,8 +15,9 @@ the plain multiplicative form.  There are no bias terms anywhere.
 (``return_cache=True``) keeps, beside each half's pre-activation, what its
 activation derivative shares with the forward: gelu's Phi, the sigmoid's
 output.  The backward hands that to ``activation_grad``, so a training step
-evaluates each ``erf`` and sigmoid once.  Both passes read float64 matrices
-in place and upcast float32 ones.  Training gives the backward one flat
+evaluates each ``erf`` and sigmoid once.  The forward computes in its rows'
+dtype (``numerics.float_array``), the backward in float64.  Training gives
+the backward one flat
 float64 vector as ``out``: each weight gradient is written into its
 ``matrix_views`` slice of it, and the input gradient is skipped.
 """
@@ -28,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # vecmat: unused here, but the benchmark tracer's numerics.vecmat seam wraps it
-from .numerics import ACTIVATIONS, activation, activation_grad, vecmat
+from .numerics import (ACTIVATIONS, activation, activation_grad, float_array,
+                       vecmat)
 from .rng import Xoshiro256StarStar
 
 INIT_STD = 0.02
@@ -212,9 +214,10 @@ def _calibrator_grads(cache, vd, vu, cfg: LucaConfig, dOut, d_vd, d_vu,
     return d_vd, d_vu, dX
 
 
-def _f64_matrices(m: LucaModule):
-    # (W_down, W_up, V_down, V_up) as float64; float64 matrices are not copied
-    return tuple(np.asarray(a, dtype=np.float64) for a in m.matrices())
+def _matrices_as(m: LucaModule, dtype):
+    # (W_down, W_up, V_down, V_up) in dtype; matrices already in it are not
+    # copied
+    return tuple(np.asarray(a, dtype=dtype) for a in m.matrices())
 
 
 def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False):
@@ -225,10 +228,11 @@ def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False)
     calibrator's ``(X, Q, T, G, Tc)``, i.e. each half's input rows,
     pre-activation, activation, (calibrator only) gate, and the activation
     cache that ``activation_grad`` reuses (gelu's Phi(H), the sigmoid's
-    output, None for relu), whichever half runs first.
+    output, None for relu), whichever half runs first.  It computes in
+    ``float_array(Z)``'s dtype, so float32 rows and weights copy neither.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    wd, wu, vd, vu = _f64_matrices(m)
+    Z = float_array(Z)
+    wd, wu, vd, vu = _matrices_as(m, Z.dtype)
     cfg = m.config
     if cfg.reversed:
         C, calibrator_cache = _calibrator_rows(Z, vd, vu, cfg, return_cache)
@@ -252,7 +256,7 @@ def luca_backward_batch(m: LucaModule, cache, U: np.ndarray,
     discards, is not computed: ``d_input`` is None.  The weight gradients
     are the same bits either way.
     """
-    wd, wu, vd, vu = _f64_matrices(m)
+    wd, wu, vd, vu = _matrices_as(m, np.float64)
     cfg = m.config
     U = np.asarray(U, dtype=np.float64)
     adapter_cache, calibrator_cache = cache

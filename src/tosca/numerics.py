@@ -1,10 +1,13 @@
 """Array numerics shared by every other module: the activations, their
 derivatives, and the row softmax.
 
-Parameters and features live in float32; everything here computes in
-float64.  Every forward and backward pass uses numpy matmul.  ``vecmat``
-fixes the exact accumulation order (ascending index); no pass in the package
-calls it.  It is kept for the benchmark tracer's ``numerics.vecmat`` seam and
+Parameters and features live in float32.  A kernel computes in the dtype
+``float_array`` gives its input: float32 for serving's float32 rows,
+float64 for training's working copies.  The constants are Python floats,
+which do not promote a float32 array as an ``np.float64`` would (NEP 50).
+Every forward and backward pass uses numpy matmul.  ``vecmat`` fixes the
+exact accumulation order (ascending index); no pass in the package calls
+it.  It is kept for the benchmark tracer's ``numerics.vecmat`` seam and
 for the per-sample reference forwards and backward in the tests, which the
 batched passes are held to.
 
@@ -25,13 +28,22 @@ inputs or to a cache.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
 ACTIVATIONS = ("relu", "gelu", "sigmoid")
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def float_array(x) -> np.ndarray:
+    """``x`` as a float32 array if it is float32, else as float64; an array
+    already in that dtype is not copied."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -59,9 +71,9 @@ def activation(kind: str, x, return_cache: bool = False):
 
     With ``return_cache`` it returns ``(out, cache)``, where ``cache`` is
     what ``activation_grad`` reuses: Phi(x) for gelu, ``out`` itself for the
-    sigmoid, None for relu.
+    sigmoid, None for relu.  The result has ``float_array(x)``'s dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x)
     if kind == "relu":
         out, cache = np.maximum(x, 0.0), None
     elif kind == "gelu":
@@ -79,10 +91,11 @@ def activation_grad(kind: str, x, cache=None) -> np.ndarray:
 
     ``cache`` is the value ``activation(kind, x, return_cache=True)``
     returned for the same x; without it, the shared value is recomputed.
+    The result has ``float_array(x)``'s dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x)
     if kind == "relu":
-        return np.where(x > 0, 1.0, 0.0)
+        return (x > 0).astype(x.dtype)
     if kind == "gelu":
         cdf = _gelu_cdf(x) if cache is None else cache
         grad = np.multiply(-0.5, x, out=np.empty_like(x))

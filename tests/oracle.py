@@ -7,6 +7,9 @@
   ``luca.luca_backward_batch``, are held to them.
 * ``softmax`` and ``shannon_entropy`` of one logits or probability vector,
   which ``engine.route`` computes for every row at once.
+* ``route_float64``: entropy routing with rows, weights, logits, softmax and
+  entropy all in float64.  ``engine.route`` runs the forward in float32 and
+  must pick the same sessions and classes.
 * ``fnv1a``: the byte-at-a-time 64-bit FNV-1a loop that ``engine.fnv1a``
   computes with numpy passes.
 * ``polymul``: GF(2) polynomial multiplication modulo a polynomial, one bit
@@ -85,6 +88,36 @@ def softmax(v) -> np.ndarray:
 def shannon_entropy(p) -> float:
     """-sum p ln p in nats, with 0 ln 0 == 0."""
     return -math.fsum(x * math.log(x) for x in map(float, p) if x > 0.0) + 0.0
+
+
+def route_float64(Z, bank, normalize_entropy: bool = True):
+    """(class ids, 1-based sessions) that least-entropy routing picks for
+    the rows of Z, computed in float64 throughout.  A session scores
+    entropy / ln K when ``normalize_entropy`` is set and the class counts
+    differ; ties go to the lowest session and, within it, the lowest id."""
+    Z = np.asarray(Z, dtype=np.float64)
+    counts = [len(e.class_ids) for e in bank.entries]
+    normalize = normalize_entropy and len(set(counts)) > 1
+    scores, picks = [], []
+    for e in bank.entries:
+        cfg = e.module.config
+        wd, wu, vd, vu = (a.astype(np.float64) for a in e.module.matrices())
+
+        def adapter(X):
+            return activation(cfg.adapter_act, X @ wd) @ wu + X
+
+        def calibrator(X):
+            gate = activation(cfg.gate_act, X @ vd) @ vu
+            return X * (gate + 1.0 if cfg.gate_residual else gate)
+
+        feats = (adapter(calibrator(Z)) if cfg.reversed
+                 else calibrator(adapter(Z)))
+        P = softmax_rows(feats @ e.head.w.astype(np.float64))
+        h = -(P * np.log(np.where(P > 0.0, P, 1.0))).sum(axis=1)
+        scores.append(h / math.log(len(e.class_ids)) if normalize else h)
+        picks.append(np.asarray(e.class_ids)[np.argmax(P, axis=1)])
+    chosen = np.argmin(np.stack(scores), axis=0)
+    return np.stack(picks)[chosen, np.arange(Z.shape[0])], chosen + 1
 
 
 def adapter_forward(z, m: LucaModule) -> np.ndarray:

@@ -310,8 +310,10 @@ def test_route_matches_the_reference_softmax_and_entropy():
     r = route(Z, bank)
     assert [P.shape for P in r.probs] == [(Z.shape[0], len(e.class_ids))
                                          for e in bank.entries]
+    Z32 = Z.astype(np.float32)  # the rows route reads, and so its logits
     for i, e in enumerate(bank.entries):
-        logits = head_forward_batch(luca_forward_batch(Z, e.module), e.head)
+        logits = head_forward_batch(luca_forward_batch(Z32, e.module), e.head)
+        assert logits.dtype == np.float32
         k = len(e.class_ids)
         for j in range(Z.shape[0]):
             want = oracle.softmax(logits[j])
@@ -469,10 +471,26 @@ def test_non_finite_rows_fail_on_every_routing_entry_point():
                 predict_batch(Z, bank)
             with pytest.raises(ValueError, match="non-finite features"):
                 evaluate_stage(bank, test)
-    # a finite row can still overflow a session's logits: 2e308 here
+    # a finite row that float32 cannot hold is refused as such, not as inf
+    huge = np.eye(d)
+    huge[2, 1] = 1e308
+    test = FeatureDataset(name="huge", features=np.eye(d, dtype=np.float32),
+                          labels=np.array([0, 1, 2, 3], dtype=np.uint32))
+    test.features = huge  # a FeatureDataset casts to float32 when built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the forward runs
+        for call in (lambda: predict(huge[2], bank),
+                     lambda: predict_batch(huge, bank),
+                     lambda: evaluate_stage(bank, test),
+                     lambda: feature_shift(bank, huge)):
+            with pytest.raises(ValueError, match="out of float32 range"):
+                call()
+    # a row within float32 range can still overflow a session's float32
+    # logits: 3e38 + 3e38 here
     summing = ModuleBank(d)
     summing.append(_entry(1, d, (0, 1), w=np.ones((d, 2), dtype=np.float32)))
-    big = np.array([1e308, 1e308, 0.0, 0.0])
+    big = np.array([3e38, 3e38, 0.0, 0.0])
+    assert np.isfinite(big.astype(np.float32)).all()
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="non-finite logits"):
             predict(big, summing)
@@ -669,11 +687,12 @@ def test_cached_stage_metrics_match_per_stage_routing(num_classes, base,
 
 @pytest.fixture
 def forwarded(monkeypatch):
-    """Row counts of the engine's luca_forward_batch calls, in order."""
+    """(row count, dtype) of the engine's luca_forward_batch calls, in
+    order."""
     rows = []
 
     def spy(Z, module):
-        rows.append(Z.shape[0])
+        rows.append((Z.shape[0], Z.dtype))
         return luca_forward_batch(Z, module)
 
     monkeypatch.setattr(engine, "luca_forward_batch", spy)
@@ -688,14 +707,14 @@ def test_stage_evaluation_forwards_each_session_row_pair_once(
     run_scenario(train, test, splits, "tosca", _FAST, seed=11)
     B = splits.num_stages
     scored = test.subset(splits.classes_through(B)).n
-    # each session once, on every row that some stage scores
-    assert forwarded == [scored] * B
+    # each session once, on every row that some stage scores, in float32
+    assert forwarded == [(scored, np.float32)] * B
 
 
 def test_joint_scores_its_test_set_once(forwarded):
     train, test, splits = _small_scenario()
     report = run_scenario(train, test, splits, "joint", _FAST, seed=11)
-    assert forwarded == [test.n]
+    assert forwarded == [(test.n, np.float32)]
     module, head = report.artifacts["module"], report.artifacts["head"]
     ids = np.asarray(head.class_ids)
     for b, stage in enumerate(report.stages, start=1):
@@ -795,6 +814,11 @@ def test_feature_shift():
     Z = Xoshiro256StarStar(3).normals(20).reshape(5, 4)
     shifts = feature_shift(bank, Z)
     assert shifts == (0.0,)
+    # rows whose squares float32 cannot hold still give their shift
+    moving = ModuleBank(d)
+    moving.append(_entry(1, d, (0, 1)))
+    moving.entries[0].module.w_up[:] = 0.1
+    assert feature_shift(moving, 1e20 * Z)[0] > 0.0
     with pytest.raises(ValueError, match="no samples"):
         feature_shift(bank, np.zeros((0, 4)))
     with pytest.raises(ValueError, match="degenerate vector"):
@@ -895,12 +919,12 @@ def test_bank_round_trip(tmp_path):
     for a, b in zip(bank.entries, back.entries):
         assert entry_checksum(a) == entry_checksum(b)
         assert a.class_ids == b.class_ids
-    # a loaded bank holds read-only float64 copies of the file's float32 values
+    # a loaded bank holds read-only float32 views of the file's bytes
     for trained, loaded in zip(_bank_weights(bank), _bank_weights(back)):
         assert trained.dtype == np.float32
-        assert loaded.dtype == np.float64 and not loaded.flags.writeable
-        assert np.array_equal(loaded, trained)
-        assert loaded.astype(np.float32).tobytes() == trained.tobytes()
+        assert loaded.dtype == np.float32 and not loaded.flags.writeable
+        assert not loaded.flags.owndata
+        assert loaded.tobytes() == trained.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             loaded[0, 0] = 1.0
     _assert_routes_alike(bank, back, test.features)
@@ -922,31 +946,56 @@ def test_bank_round_trip(tmp_path):
     _assert_routes_alike(single, back, test.features)
 
 
-def test_a_loaded_module_does_not_train_as_init(tmp_path):
+def test_a_loaded_module_trains_as_init_through_a_copy(tmp_path):
     train, _, _ = _small_scenario()
     bank = ModuleBank(16)
     train_session(bank, train, (0, 1), _FAST, seed=5)
     p = tmp_path / "bank.luca"
     save_bank(bank, p)
     loaded = load_bank(p).entries[0].module
-    with pytest.raises(ValueError, match="w_down is float64"):
-        train_session(ModuleBank(16), train, (2, 3), _FAST, seed=6,
-                      init=loaded)
-    assert not loaded.w_down.flags.writeable
+    before = [a.copy() for a in loaded.matrices()]
+    from_loaded = train_session(ModuleBank(16), train, (2, 3), _FAST, seed=6,
+                                init=loaded)
+    # the loaded arrays stay read-only and bit for bit as they were
+    for a, b in zip(loaded.matrices(), before):
+        assert not a.flags.writeable
+        assert a.tobytes() == b.tobytes()
+    # training wrote a writable float32 copy
+    trained = from_loaded.entries[0].module
+    for a, b in zip(trained.matrices(), loaded.matrices()):
+        assert a.dtype == np.float32 and a.flags.writeable
+        assert not np.shares_memory(a, b)
+    # the same session as one trained from a float32 copy of the module
+    copied = replace(loaded, **dict(zip(
+        ("w_down", "w_up", "v_down", "v_up"), before)))
+    from_copy = train_session(ModuleBank(16), train, (2, 3), _FAST, seed=6,
+                              init=copied)
+    assert (entry_checksum(from_loaded.entries[0])
+            == entry_checksum(from_copy.entries[0]))
 
 
-def test_serving_a_loaded_bank_copies_no_weights(tmp_path, monkeypatch):
+def test_serving_a_loaded_bank_copies_no_weights_or_rows(tmp_path,
+                                                       monkeypatch):
     train, test, _ = _small_scenario(num_classes=8)
     save_bank(_trained_bank(train, _FAST, ((0, 1, 2), (3, 4))),
               tmp_path / "bank.luca")
     bank = load_bank(tmp_path / "bank.luca")
-    matrices = []
-    f64_matrices = tosca.luca._f64_matrices
+    # not reversed: each forward's first matmul is the adapter's
+    assert not any(e.module.config.reversed for e in bank.entries)
+    matrices = []  # (the module's matrices, what the forward multiplies by)
+    matrices_as = tosca.luca._matrices_as
 
-    def spy_matrices(m):
-        out = f64_matrices(m)
+    def spy_matrices(m, dtype):
+        out = matrices_as(m, dtype)
         matrices.append((m.matrices(), out))
         return out
+
+    rows = []  # the rows each forward's first matmul reads
+    adapter_rows = tosca.luca._adapter_rows
+
+    def spy_adapter(X, *args):
+        rows.append(X)
+        return adapter_rows(X, *args)
 
     heads = []  # (head.w, what head_forward_batch multiplies by)
 
@@ -960,15 +1009,19 @@ def test_serving_a_loaded_bank_copies_no_weights(tmp_path, monkeypatch):
                 heads.append((a, out))
             return out
 
-    monkeypatch.setattr(tosca.luca, "_f64_matrices", spy_matrices)
+    monkeypatch.setattr(tosca.luca, "_matrices_as", spy_matrices)
+    monkeypatch.setattr(tosca.luca, "_adapter_rows", spy_adapter)
     monkeypatch.setattr(tosca.heads, "np", SpyNumpy())
+    assert test.features.dtype == np.float32
     predict(test.features[0], bank)
     predict_batch(test.features, bank)
-    assert len(matrices) == len(heads) == 2 * len(bank)
+    assert len(matrices) == len(heads) == len(rows) == 2 * len(bank)
     for own, used in matrices:
         assert all(u is o for u, o in zip(used, own))
     for w, used in heads:
         assert np.shares_memory(used, w)
+    for X in rows:
+        assert X.dtype == np.float32 and np.shares_memory(X, test.features)
 
 
 def _bank_with_an_unserializable_second_entry():

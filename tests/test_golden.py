@@ -14,7 +14,13 @@ and, for each of the four trained methods, its weights: every session's
 four matrices and head as float32 bytes, whatever the container holds.  A
 change that moves a single bit of any of them fails here.  ``d768`` runs again in a
 subprocess at two OpenBLAS threads and must give the same digests: bits
-do not depend on the BLAS thread count.
+do not depend on the BLAS thread count.  The ``d32`` case reads the
+``joint``, ``tosca`` and ``finetune`` runs of the session-wide ``headline``
+fixture (``conftest.py``) instead of running them again.
+
+On each case's ``tosca`` bank, routing, which computes in float32, must
+pick the session and class that a float64 reference picks on every test
+row, and single-row ``predict`` what 32-row ``predict_batch`` picks.
 
 The digests were pinned on Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and
 scipy-openblas 0.3.31.188.0 (x86-64).  They depend on that OpenBLAS and
@@ -43,15 +49,17 @@ import pytest
 if __name__ == "__main__":  # a script reads this checkout's package
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import oracle
+from conftest import HEADLINE_DATA
 from tosca.data import make_splits, synth_gaussian
 from tosca.engine import (METHODS, BankEntry, ScenarioConfig, _entry_bytes,
-                          run_scenario, save_bank)
+                          predict, predict_batch, run_scenario, save_bank)
 from tosca.optim import OptimConfig
 
 # case: synth_gaussian arguments (d, classes, train and test rows per
 # class, separation, sigma, seed) and the scenario config
 CASES = {
-    "d32": ((32, 50, 100, 50, 138.0, 23.0, 3), ScenarioConfig()),
+    "d32": (HEADLINE_DATA, ScenarioConfig()),
     "d768": ((768, 10, 20, 10, 138.0, 17.0, 5),
              ScenarioConfig(optim=OptimConfig(epochs=2))),
 }
@@ -129,15 +137,27 @@ def _weights(sessions) -> str:
     return h.hexdigest()
 
 
-def digests(case: str) -> dict:
-    """The current digests of ``case``, keyed as in ``GOLDEN``."""
+def _inputs(case: str):
+    """(train, test, splits, config) of ``case``."""
     args, cfg = CASES[case]
     train, test = synth_gaussian(*args)
     splits = make_splits(train.class_ids, base=0, increment=5, seed=1993)
+    return train, test, splits, cfg
+
+
+def digests(case: str, runs=None) -> dict:
+    """The current digests of ``case``, keyed as in ``GOLDEN``.
+
+    ``runs`` maps a method to its report already run on the case, which is
+    read instead of running the method again.
+    """
+    runs = runs or {}
+    train, test, splits, cfg = _inputs(case)
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for method in METHODS:
-            rep = run_scenario(train, test, splits, method, cfg, seed=1993)
+            rep = (runs[method] if method in runs else
+                   run_scenario(train, test, splits, method, cfg, seed=1993))
             report = rep.to_dict()
             report.pop("wall_time_s")
             out[f"{method}.report"] = _sha(
@@ -171,9 +191,34 @@ def layout(golden: dict) -> str:
     return "\n".join(lines)
 
 
+def _headline_runs(case: str, request):
+    """The shared ``headline`` fixture's runs if ``case`` is ``d32``, which
+    is the headline; no runs for another case."""
+    return request.getfixturevalue("headline")["runs"] if case == "d32" else {}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_digests(case):
-    assert digests(case) == GOLDEN[case]
+def test_golden_digests(case, request):
+    assert digests(case, _headline_runs(case, request)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_float32_routing_agrees_with_a_float64_reference(case, request):
+    train, test, splits, cfg = _inputs(case)
+    rep = _headline_runs(case, request).get("tosca") or run_scenario(
+        train, test, splits, "tosca", cfg, seed=1993)
+    bank = rep.artifacts["bank"]
+    Z = test.features
+    want_classes, want_sessions = oracle.route_float64(Z, bank)
+    classes, sessions = predict_batch(Z, bank)
+    assert np.array_equal(classes, want_classes)
+    assert np.array_equal(sessions, want_sessions)
+    micro = [predict_batch(Z[i:i + 32], bank) for i in range(0, len(Z), 32)]
+    assert np.array_equal(np.concatenate([c for c, _ in micro]), classes)
+    assert np.array_equal(np.concatenate([s for _, s in micro]), sessions)
+    for i, z in enumerate(Z):
+        p = predict(z, bank)
+        assert (p.class_id, p.session_index) == (classes[i], sessions[i]), i
 
 
 def test_golden_digests_at_two_blas_threads():

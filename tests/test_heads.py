@@ -63,6 +63,20 @@ def test_head_batch_matches_single():
         assert np.allclose(batch[i], head_forward(Z[i], h), rtol=1e-12)
 
 
+def test_head_batch_multiplies_in_its_rows_dtype():
+    gen = Xoshiro256StarStar(7)
+    h = make_head(5, (2, 9))
+    h.w[:] = gen.normals(10).reshape(5, 2).astype(np.float32)
+    Z = gen.normals(20).reshape(4, 5)
+    Z32 = Z.astype(np.float32)
+    out32 = head_forward_batch(Z32, h)
+    assert out32.dtype == np.float32
+    assert np.array_equal(out32, Z32 @ h.w)
+    out64 = head_forward_batch(Z, h)
+    assert out64.dtype == np.float64
+    assert np.array_equal(out64, Z @ h.w.astype(np.float64))
+
+
 def test_extend_head_keeps_old_columns_and_sorts():
     h = make_head(3, (4, 6))
     h.w[:, 0] = [1, 2, 3]

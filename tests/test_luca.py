@@ -395,6 +395,27 @@ def test_batch_forward_matches_single():
             assert np.allclose(batch[i], want, rtol=1e-12, atol=1e-12)
 
 
+def test_batch_forward_computes_in_its_rows_dtype():
+    for rev in (False, True):
+        cfg = LucaConfig(reversed=rev)
+        m = init_luca(9, 3, config=cfg, rng_seed=21)  # float32 weights
+        m.w_up[:] = Xoshiro256StarStar(22).normals(27).reshape(3, 9) * 0.3
+        Z32 = Xoshiro256StarStar(23).normals(45).reshape(5, 9).astype(
+            np.float32)
+        out32, cache = luca_forward_batch(Z32, m, return_cache=True)
+        assert out32.dtype == np.float32
+        assert all(a.dtype == np.float32 for half in cache for a in half)
+        # float64 rows upcast the weights: the float64 result, which the
+        # float32 one follows to float32 precision
+        out64 = luca_forward_batch(Z32.astype(np.float64), m)
+        assert out64.dtype == np.float64
+        np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-6)
+        # float64 weights under float32 rows are cast down to them
+        m64 = replace(m, **{k: getattr(m, k).astype(np.float64)
+                            for k in ("w_down", "w_up", "v_down", "v_up")})
+        assert np.array_equal(luca_forward_batch(Z32, m64), out32)
+
+
 def test_batch_backward_sums_per_sample_grads():
     # against the exact-order per-sample reference in tests/oracle.py
     Z = Xoshiro256StarStar(33).normals(24).reshape(4, 6)

@@ -135,6 +135,42 @@ def test_activations_take_a_0d_input():
             activation_grad(kind, np.array([0.3]))[0])
 
 
+def test_float32_activations_compute_in_float32():
+    # bit for bit the defining formulas evaluated in float32, with float32
+    # constants: an np.float64 constant would compute in float64 and round
+    x = np.concatenate([np.linspace(-40.0, 40.0, 160_001),
+                        [0.0, -0.0, 1e-30, -1e-30, 1e30, -1e30]]
+                       ).astype(np.float32)
+    f = np.float32
+    with np.errstate(all="ignore"):
+        e = np.exp(-np.abs(x))
+        s = np.where(x >= 0, f(1.0) / (f(1.0) + e), e / (f(1.0) + e))
+        cdf = f(0.5) * (f(1.0) + erf(x / f(math.sqrt(2.0))))
+        pdf = f(1.0 / math.sqrt(2.0 * math.pi)) * np.exp(f(-0.5) * x * x)
+        want = {
+            "relu": (np.maximum(x, f(0.0)), (x > 0).astype(f)),
+            "gelu": (x * cdf, cdf + x * pdf),
+            "sigmoid": (s, s * (f(1.0) - s)),
+        }
+        for kind in ACTIVATIONS:
+            want_out, want_grad = want[kind]
+            assert want_out.dtype == want_grad.dtype == np.float32
+            out, cache = activation(kind, x, return_cache=True)
+            grad = activation_grad(kind, x, cache)
+            assert out.dtype == grad.dtype == np.float32
+            assert cache is None or cache.dtype == np.float32
+            assert out.tobytes() == want_out.tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+            assert activation_grad(kind, x).tobytes() == grad.tobytes()
+
+
+def test_activations_compute_anything_but_float32_in_float64():
+    for kind in ACTIVATIONS:
+        for x in (np.arange(-2, 3), [0.5, -1.0], np.float16(0.5), 0.3):
+            assert activation(kind, x).dtype == np.float64
+            assert activation_grad(kind, x).dtype == np.float64
+
+
 def test_relu_grad_at_zero_is_zero():
     assert float(activation_grad("relu", np.array([0.0]))[0]) == 0.0
 
