@@ -12,6 +12,7 @@ File layout (all little endian):
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -171,15 +172,30 @@ def synth_gaussian(d: int, num_classes: int, n_train: int, n_test: int,
 _HEAD = struct.Struct("<II Q")  # version, d, n  (after the 8-byte magic)
 
 
+def replace_file(path, parts) -> None:
+    """Write the byte strings ``parts`` to a new file in ``path``'s
+    directory, then rename it to ``path``.  If that fails at any point,
+    the new file is removed and an existing file at ``path`` keeps its
+    bytes."""
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_features(ds: FeatureDataset, path) -> None:
     record = np.dtype([("label", "<u4"), ("feat", "<f4", (ds.d,))])
     packed = np.empty(ds.n, dtype=record)
     packed["label"] = ds.labels
     packed["feat"] = ds.features
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEAD.pack(FORMAT_VERSION, ds.d, ds.n))
-        fh.write(packed.tobytes())
+    replace_file(path, [MAGIC, _HEAD.pack(FORMAT_VERSION, ds.d, ds.n),
+                        packed.tobytes()])
 
 
 def load_features(path, name: str | None = None) -> FeatureDataset:

@@ -70,7 +70,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .data import FeatureDataset, SplitPlan
+from .data import FeatureDataset, SplitPlan, replace_file
 # head_forward, luca_forward: unused here, but the benchmark tracer wraps them
 from .heads import (SessionHead, build_prototypes, extend_head, head_forward,
                     head_forward_batch, make_head, prototype_classify_batch)
@@ -889,19 +889,18 @@ def entry_checksum(entry: BankEntry) -> int:
 
 
 def save_bank(bank: ModuleBank, path) -> None:
-    """Write the bank to ``path``.
+    """Write the bank to ``path`` through ``data.replace_file``.
 
-    Every entry and its checksum is serialized before the file is opened,
-    so an entry that cannot be serialized raises with an existing file
-    left as it was and no new file made.
+    Every entry and its checksum is serialized before any file is opened,
+    so an entry that cannot be serialized raises with no file made, and a
+    write that fails leaves an existing file as it was.
     """
     parts = [BANK_MAGIC, struct.pack("<IIII", BANK_VERSION, bank.feature_dim,
                                      bank.rank, len(bank))]
     for entry in bank.entries:
         blob = _entry_bytes(entry)
         parts += (blob, struct.pack("<Q", fnv1a(blob)))
-    with open(path, "wb") as fh:
-        fh.writelines(parts)
+    replace_file(path, parts)
 
 
 def load_bank(path) -> ModuleBank:

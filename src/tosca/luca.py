@@ -16,10 +16,10 @@ the plain multiplicative form.  There are no bias terms anywhere.
 activation derivative shares with the forward: gelu's Phi, the sigmoid's
 output.  The backward hands that to ``activation_grad``, so a training step
 evaluates each ``erf`` and sigmoid once.  The forward computes in its rows'
-dtype (``numerics.float_array``), the backward in float64.  Training gives
-the backward one flat
-float64 vector as ``out``: each weight gradient is written into its
-``matrix_views`` slice of it, and the input gradient is skipped.
+dtype (``numerics.float_array``), the backward in its upstream's: float32
+in training, float64 in ``gradient_check``.  Training gives the backward
+one flat float32 vector as ``out``: each weight gradient is written into
+its ``matrix_views`` slice of it, and the input gradient is skipped.
 """
 
 from __future__ import annotations
@@ -248,17 +248,18 @@ def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False)
 def luca_backward_batch(m: LucaModule, cache, U: np.ndarray,
                         out: np.ndarray | None = None) -> LucaGradients:
     """Batch-summed gradients of sum(U * luca_forward_batch(Z)) given the
-    forward's cache; ``d_input`` keeps one row per sample.
+    forward's cache; ``d_input`` keeps one row per sample.  It computes in
+    ``float_array(U)``'s dtype, which should be the cache's.
 
-    With ``out``, a float64 vector of 4*d*r entries, the four weight
+    With ``out``, a vector of 4*d*r entries in that dtype, the four weight
     gradients are written into it in ``flat_params`` order (the returned
     ones are its ``matrix_views``) and the input gradient, which training
     discards, is not computed: ``d_input`` is None.  The weight gradients
     are the same bits either way.
     """
-    wd, wu, vd, vu = _matrices_as(m, np.float64)
+    U = float_array(U)
+    wd, wu, vd, vu = _matrices_as(m, U.dtype)
     cfg = m.config
-    U = np.asarray(U, dtype=np.float64)
     adapter_cache, calibrator_cache = cache
     o_wd, o_wu, o_vd, o_vu = ((None,) * 4 if out is None
                               else matrix_views(out, m.d, m.r))

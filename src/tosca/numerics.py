@@ -2,8 +2,8 @@
 derivatives, and the row softmax.
 
 Parameters and features live in float32.  A kernel computes in the dtype
-``float_array`` gives its input: float32 for serving's float32 rows,
-float64 for training's working copies.  The constants are Python floats,
+``float_array`` gives its input: float32 for training's and serving's
+rows, float64 for ``luca.gradient_check``'s.  The constants are Python floats,
 which do not promote a float32 array as an ``np.float64`` would (NEP 50).
 Every forward and backward pass uses numpy matmul.  ``vecmat`` fixes the
 exact accumulation order (ascending index); no pass in the package calls

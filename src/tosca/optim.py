@@ -1,21 +1,15 @@
 """SGD with cosine-annealed learning rate and L1 shrinkage on module weights.
 
-Parameters live in float32 (``train_epochs`` refuses any other dtype) but
-every update runs in float64.
-``train_epochs`` keeps the module's four matrices in one flat float32
-vector, laid out as ``LucaModule.flat_params``, with one float64 working
-copy of it and one flat float64 gradient vector; the head gets a float64
-working copy of its own.  The forward and backward read the working copy
-through ``luca.matrix_views``, and the backward writes each weight gradient
-straight into its view of the gradient vector.  Each step then makes one
-``sgd_l1_step`` call (and, with momentum, one velocity update) over all
-four matrices, writes the float32 vector from the float64 result and
-refreshes the working copy from it, so the next step sees exactly
-f64(f32(new)): the same values, and the same bits, as an upcast of the
-float32 weights at every step, without the per-step copies.  The module's
-own arrays receive the float32 vector at each epoch end, before the loss
-and the divergence check read them.  The L1 term touches only the module's
-four matrices, never the head.  Two L1 modes:
+Training computes in float32, the dtype of the weights and features; only
+the small (B, K) logits go up to float64, for the softmax and the
+cross-entropy.  ``train_epochs`` steps the module's four matrices as one
+flat float32 vector, laid out as ``LucaModule.flat_params``: the forward
+reads it through ``luca.matrix_views``, the backward writes each weight
+gradient into its view of one flat gradient vector, and one
+``sgd_l1_step`` call updates all four.  The head is stepped in place.  The
+module's own arrays receive the vector at each epoch end, before the loss
+and the divergence check read them.  The L1 term touches only the four
+matrices, never the head.  Two L1 modes:
 
   subgradient   theta <- theta - lr * (g + lam * sign(theta)), sign(0) = 0
   proximal      theta <- soft_threshold(theta - lr * g, lr * lam)
@@ -32,7 +26,7 @@ from .data import FeatureDataset
 from .heads import SessionHead
 from .luca import (LucaModule, l1_norm, luca_backward_batch,
                    luca_forward_batch, matrix_views)
-from .numerics import softmax_rows
+from .numerics import float_array, softmax_rows
 from .rng import Xoshiro256StarStar
 
 L1_MODES = ("subgradient", "proximal")
@@ -76,10 +70,10 @@ def cosine_lr(step: int, total_steps: int, cfg: OptimConfig) -> float:
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    """sign(v) * max(|v| - t, 0), elementwise."""
+    """sign(v) * max(|v| - t, 0), elementwise, in ``float_array(v)``'s dtype."""
     if t < 0.0:
         raise ValueError("threshold must be nonnegative")
-    v = np.asarray(v, dtype=np.float64)
+    v = float_array(v)
     out = np.abs(v, out=np.empty_like(v))
     out -= t
     np.maximum(out, 0.0, out=out)
@@ -89,15 +83,15 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 
 def sgd_l1_step(theta: np.ndarray, grad: np.ndarray, lr: float, lam: float,
                 mode: str = "subgradient") -> np.ndarray:
-    """One L1-regularized step in float64; caller handles dtype round trips.
+    """One L1-regularized step in ``float_array(theta)``'s dtype.
 
     Returns a new array and leaves ``theta`` and ``grad`` as they are; the
     one temporary is built in place, in the operation order of the formula.
     """
     if mode not in L1_MODES:
         raise ValueError(f"unknown l1 mode {mode!r}")
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
+    theta = float_array(theta)
+    grad = np.asarray(grad, dtype=theta.dtype)
     if theta.shape != grad.shape:
         raise ValueError("dimension mismatch")
     if mode == "subgradient":
@@ -114,17 +108,18 @@ def sgd_l1_step(theta: np.ndarray, grad: np.ndarray, lr: float, lam: float,
 
 
 def _batch_loss_grads(module, head_w, Z, y_cols, grad, d_head):
-    """Summed cross-entropy over the batch, for float64 module matrices and
-    head weights ``head_w``.  The gradients of its batch mean are written
-    into ``grad``, the module's as one flat vector, and ``d_head``."""
+    """Summed cross-entropy over the batch, in the rows' dtype but for the
+    float64 softmax of the (B, K) logits.  The gradients of its batch mean
+    are written into ``grad``, the module's as one flat vector, and
+    ``d_head``."""
     B = Z.shape[0]
     rows = np.arange(B)
     feats, cache = luca_forward_batch(Z, module, return_cache=True)
-    P = softmax_rows(feats @ head_w)
+    P = softmax_rows((feats @ head_w).astype(np.float64))
     ce = float(-np.log(P[rows, y_cols] + 1e-300).sum())
-    dlogits = P  # P minus the one-hot labels, built in place
-    dlogits[rows, y_cols] -= 1.0
-    dlogits /= B
+    P[rows, y_cols] -= 1.0  # P minus the one-hot labels, built in place
+    P /= B
+    dlogits = P.astype(feats.dtype)
     np.matmul(feats.T, dlogits, out=d_head)
     luca_backward_batch(module, cache, dlogits @ head_w.T, out=grad)
     return ce
@@ -142,45 +137,36 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
     measured at epoch end; a non-finite loss stops training in that epoch
     with ``FloatingPointError``.  With epochs=0 nothing moves and the trace
     is empty.  Returns the (mutated) module and head plus the trace.
-    The four matrices and the head must be float32: any other dtype would
-    skip the per-step float32 rounding, so it raises ``ValueError``.
+    The four matrices and the head must be float32: training computes in
+    float32, so any other dtype raises ``ValueError``.
     """
     mats = ["w_down", "w_up", "v_down", "v_up"]
-    weights = {name: getattr(module, name) for name in mats}
-    weights["head.w"] = head.w
-    for name, arr in weights.items():
+    for name, arr in zip(mats + ["head.w"], module.matrices() + (head.w,)):
         if arr.dtype != np.float32:
             raise ValueError(f"{name} is {arr.dtype}; training needs "
                              "float32 weights")
-    Z = np.asarray(data.features, dtype=np.float64)
-    y = np.asarray(data.labels)
-    n = Z.shape[0]
+    Z, n = data.features, data.n  # float32 rows
     if n == 0:
         raise ValueError("empty dataset")
-    if Z.ndim != 2 or Z.shape[1] != module.d or y.shape != (n,):
+    if data.d != module.d:
         raise ValueError("dimension mismatch")
     col = {c: j for j, c in enumerate(head.class_ids)}
     try:
-        y_cols = np.asarray([col[int(c)] for c in y], dtype=np.int64)
+        y_cols = np.asarray([col[int(c)] for c in data.labels], dtype=np.int64)
     except KeyError:
         raise ValueError("label outside class set") from None
     batches = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = batches * cfg.epochs
 
-    # the four matrices as one float32 vector, and its float64 working copy,
-    # refreshed from it every step; the module's forward reads the copy
+    # the four matrices as one vector, which the forward reads through views
     d, r = module.d, module.r
-    flat32 = np.empty(4 * d * r, dtype=np.float32)
-    for view, cur in zip(matrix_views(flat32, d, r), module.matrices()):
-        view[...] = cur
-    flat = flat32.astype(np.float64)
+    flat = np.concatenate([m.ravel() for m in module.matrices()])
     work = replace(module, **dict(zip(mats, matrix_views(flat, d, r))))
-    head_w = head.w.astype(np.float64)
     grad = np.empty_like(flat)
-    d_head = np.empty_like(head_w)
+    d_head = np.empty_like(head.w)
     momentum = cfg.momentum > 0.0
     vel = np.zeros_like(flat) if momentum else None
-    vel_head = np.zeros_like(head_w) if momentum else None
+    vel_head = np.zeros_like(head.w) if momentum else None
 
     step = 0
     trace = []
@@ -190,7 +176,7 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
         for b in range(batches):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             lr = cosine_lr(step, total_steps, cfg)
-            epoch_ce += _batch_loss_grads(work, head_w, Z[idx], y_cols[idx],
+            epoch_ce += _batch_loss_grads(work, head.w, Z[idx], y_cols[idx],
                                           grad, d_head)
             g, g_head = grad, d_head
             if momentum:
@@ -199,20 +185,15 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
                 vel_head *= cfg.momentum
                 vel_head += d_head
                 g, g_head = vel, vel_head
-            flat32[...] = sgd_l1_step(flat, g, lr, cfg.lambda_l1, cfg.l1_mode)
-            flat[...] = flat32
-            head.w[...] = head_w - lr * g_head
-            head_w[...] = head.w
+            flat[...] = sgd_l1_step(flat, g, lr, cfg.lambda_l1, cfg.l1_mode)
+            head.w -= lr * g_head
             step += 1
-        for cur, view in zip(module.matrices(), matrix_views(flat32, d, r)):
+        for cur, view in zip(module.matrices(), matrix_views(flat, d, r)):
             cur[...] = view
         loss = epoch_ce / n + cfg.lambda_l1 * l1_norm(module)
         if not math.isfinite(loss):
             raise FloatingPointError(f"training diverged in epoch {epoch}")
         trace.append(loss)
-    for name in mats:
-        if not np.all(np.isfinite(getattr(module, name))):
-            raise FloatingPointError("training diverged")
-    if not np.all(np.isfinite(head.w)):
+    if not all(np.isfinite(a).all() for a in (flat, head.w)):
         raise FloatingPointError("training diverged")
     return module, head, trace

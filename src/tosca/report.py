@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+from .data import replace_file
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -15,17 +17,15 @@ def emit_report(report, path, fmt: str = "json") -> None:
     """Write one scenario result; CSV keeps only the per-stage table."""
     rep = _as_dict(report)
     if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(rep, fh, indent=2)
-            fh.write("\n")
+        text = json.dumps(rep, indent=2)
     elif fmt == "csv":
         lines = ["stage,A_b,selection_accuracy"]
         for s in rep["stages"]:
             lines.append(f"{s['index']},{s['A_b']:.6f},{s['selection_accuracy']:.6f}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        text = "\n".join(lines)
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    replace_file(path, [text.encode() + b"\n"])
 
 
 def load_report(path) -> dict:
@@ -99,5 +99,4 @@ def emit_plot(reports, path) -> None:
         parts.append(f'<text x="{lx + 18}" y="{ly + 2}" font-size="12">'
                      f'{label}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    replace_file(path, ["\n".join(parts).encode() + b"\n"])

@@ -14,12 +14,12 @@
   computes with numpy passes.
 * ``polymul``: GF(2) polynomial multiplication modulo a polynomial, one bit
   at a time, which ``rng`` computes with byte tables for its jump-ahead.
-* ``train_epochs_reference``: the training loop with a float32 round trip
-  at every step.  Each step upcasts the module and the head, runs a batched
-  forward and a backward that evaluates every activation derivative afresh,
-  makes one ``sgd_l1_step`` call per matrix and casts each result back with
-  ``astype``.  ``optim.train_epochs`` keeps float64 working copies and
-  reuses the forward's activation values, and must give the same bits.
+* ``train_epochs_reference``: the training loop in float32, with only the
+  (B, K) softmax in float64.  Each step runs a batched forward and a
+  backward that evaluates every activation derivative afresh on the
+  module's own matrices, makes one ``sgd_l1_step`` call per matrix and
+  writes each result back.  ``optim.train_epochs`` steps one flat vector
+  and reuses the forward's activation values, and must give the same bits.
 """
 
 import math
@@ -183,9 +183,10 @@ def luca_backward(z, m: LucaModule, upstream) -> LucaGradients:
                          d_input=dz)
 
 
-def _loss_grads_reference(m: LucaModule, head_w32, Z, y_cols):
-    # mean-CE batch loss and gradients, every weight upcast where it is read
-    wd, wu, vd, vu = (a.astype(np.float64) for a in m.matrices())
+def _loss_grads_reference(m: LucaModule, head_w, Z, y_cols):
+    # mean-CE batch loss and gradients in float32, with the softmax and the
+    # cross-entropy of the logits in float64
+    wd, wu, vd, vu = m.matrices()
     cfg = m.config
 
     def adapter(X):
@@ -208,13 +209,13 @@ def _loss_grads_reference(m: LucaModule, head_w32, Z, y_cols):
         A, a_cache = adapter(Z)
         feats, c_cache = calibrator(A)
     B = Z.shape[0]
-    P = softmax_rows(feats @ head_w32.astype(np.float64))
+    P = softmax_rows((feats @ head_w).astype(np.float64))
     ce = float(-np.log(P[np.arange(B), y_cols] + 1e-300).sum())
-    dlogits = P
-    dlogits[np.arange(B), y_cols] -= 1.0
-    dlogits /= B
+    onehot = np.zeros_like(P)
+    onehot[np.arange(B), y_cols] = 1.0
+    dlogits = ((P - onehot) / B).astype(np.float32)
     d_head = feats.T @ dlogits
-    U = dlogits @ head_w32.astype(np.float64).T
+    U = dlogits @ head_w.T
 
     def adapter_grads(dOut):
         X, H, S = a_cache
@@ -239,19 +240,19 @@ def _loss_grads_reference(m: LucaModule, head_w32, Z, y_cols):
 
 
 def train_epochs_reference(module: LucaModule, head, data, cfg, rng):
-    """``optim.train_epochs`` with an upcast, step and downcast at every
-    step; trains ``module`` and ``head`` in place and returns the loss trace."""
-    Z = np.asarray(data.features, dtype=np.float64)
+    """``optim.train_epochs`` one matrix at a time, in float32 but for the
+    logits' softmax; trains ``module`` and ``head`` in place and returns the
+    loss trace."""
+    Z = np.asarray(data.features, dtype=np.float32)
     col = {c: j for j, c in enumerate(head.class_ids)}
     y_cols = np.asarray([col[int(c)] for c in data.labels], dtype=np.int64)
     n = Z.shape[0]
     batches = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = batches * cfg.epochs
     mats = ["w_down", "w_up", "v_down", "v_up"]
-    vel = {name: np.zeros_like(getattr(module, name), dtype=np.float64)
+    vel = {name: np.zeros_like(getattr(module, name))
            for name in mats} if cfg.momentum > 0.0 else None
-    vel_head = (np.zeros_like(head.w, dtype=np.float64)
-                if cfg.momentum > 0.0 else None)
+    vel_head = np.zeros_like(head.w) if cfg.momentum > 0.0 else None
     step = 0
     trace = []
     for _ in range(cfg.epochs):
@@ -269,14 +270,12 @@ def train_epochs_reference(module: LucaModule, head, data, cfg, rng):
                     vel[name] = cfg.momentum * vel[name] + g
                     g = vel[name]
                 cur = getattr(module, name)
-                new = sgd_l1_step(cur, g, lr, cfg.lambda_l1, cfg.l1_mode)
-                cur[...] = new.astype(cur.dtype)
+                cur[...] = sgd_l1_step(cur, g, lr, cfg.lambda_l1, cfg.l1_mode)
             g = d_head
             if vel_head is not None:
                 vel_head[...] = cfg.momentum * vel_head + g
                 g = vel_head
-            new_w = head.w.astype(np.float64) - lr * g
-            head.w[...] = new_w.astype(head.w.dtype)
+            head.w[...] = head.w - lr * g
             step += 1
         trace.append(epoch_ce / n + cfg.lambda_l1 * l1_norm(module))
     return trace

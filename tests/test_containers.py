@@ -5,6 +5,10 @@ small bank file either loads or raises ``ValueError``; never ``struct.error``,
 ``IndexError`` or ``MemoryError``.  Every truncation, and every flip inside
 the fixed 24-byte header, must be refused.  A bank entry is checksummed
 whole, config bytes included, so every flip of a bank must be refused.
+
+Every writer, of features, banks, reports and plots, replaces its target
+whole: a write that fails partway leaves the old file's bytes and no new
+file behind.
 """
 
 import math
@@ -12,10 +16,12 @@ import math
 import numpy as np
 import pytest
 
+import tosca.data
 from tosca.data import FeatureDataset, load_features, save_features
 from tosca.engine import BankEntry, ModuleBank, load_bank, save_bank
 from tosca.heads import make_head
 from tosca.luca import LucaConfig, init_luca
+from tosca.report import emit_plot, emit_report
 
 HEADER_BYTES = 24  # magic + (version, d, n) or magic + (version, d, r, count)
 
@@ -72,3 +78,52 @@ def test_every_truncation_and_bit_flip_loads_or_raises_value_error(tmp_path,
         except ValueError:
             continue
         assert not must_refuse, (len(mutant), mutant[:HEADER_BYTES].hex())
+
+
+_REPORT = {"method": "tosca", "A_bar": 90.0,
+           "stages": [{"index": 1, "A_b": 90.0, "selection_accuracy": 95.0}]}
+_WRITERS = {
+    "features": _feature_file,
+    "bank": _bank_file,
+    "json": lambda p: emit_report(_REPORT, p, "json"),
+    "csv": lambda p: emit_report(_REPORT, p, "csv"),
+    "plot": lambda p: emit_plot([_REPORT], p),
+}
+
+
+class _DiskFull:
+    """A file that takes one byte of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, parts):
+        self.fh.write(b"".join(parts)[:1])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_a_write_that_fails_partway_keeps_the_old_file(tmp_path, monkeypatch,
+                                                       name):
+    write = _WRITERS[name]
+    p = tmp_path / "target"
+    p.write_bytes(b"old bytes")
+    real_open = open
+    monkeypatch.setattr(tosca.data, "open",
+                        lambda path, mode: _DiskFull(real_open(path, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write(p)
+    assert p.read_bytes() == b"old bytes"
+    assert [q.name for q in tmp_path.iterdir()] == ["target"]
+    monkeypatch.undo()
+    write(p)  # and a write that succeeds replaces it, leaving nothing else
+    assert p.read_bytes() != b"old bytes"
+    assert [q.name for q in tmp_path.iterdir()] == ["target"]

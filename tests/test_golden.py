@@ -69,27 +69,27 @@ GOLDEN = {
         "tosca.report":
             "9a20a2359e3dad9f038df7025c0e3c9b0ebfa0ef392dd733636ec34d5f83ea5f",
         "tosca.bank":
-            "92506eea97ea3445d4fa9f58c3e5fd65d6ccdfbdefccb028bde3e7be382f0d7b",
+            "35a54e9814bb0ffea64f55ed1fc64169d768682905bd3fa8ee1ea02e017a05a1",
         "tosca.weights":
-            "691ec31da4e1b71c23a87e8e893382a15fadda56bc15940e73ff169bff4ecd59",
+            "45a483a0f479afe528e8f711f96fd4dab9218ad1164201005ad201df59b3b4a8",
         "tosca_r.report":
             "083f2c168ae738b5b65e83a3e9a876e27720d3097eb0243042c4e96805d33d26",
         "tosca_r.bank":
-            "3af0ac402afb9923c4d6d176138fd79340bb001a98806feec90fc6a8538ea9ac",
+            "daf115746faaff42bd6af90d03430868259811ec6c57ebac93f2e92a3d2c6cfc",
         "tosca_r.weights":
-            "f9d5cef06e8756c091f06bfb49e777a78527cff9949e47379b017c2569a1e213",
+            "d821c4422d644e364b662ca10ca08a585afaae231842cb07ab7751b1c07e2b88",
         "finetune.report":
             "2186318cefb85aa749a02862b801779b3bcfdc989a1f0a281ceb95c4f1ce453f",
         "finetune.model":
-            "b06c12777b4d9909081f3aec58a92270b1b5c4d61a63d074ed47ae5d36bfa578",
+            "112167db89e58276dd9ed8bf409d184ccc8edae1913d449d022adca1f5143b65",
         "finetune.weights":
-            "5268cb71c78bf517159e0b35eeec451660b8c94644e7d444dac4fab8f56c397d",
+            "1e8d48ebf043346e101f7fb158699625b5bb1421ad17bce66cdbe4efa6341544",
         "joint.report":
             "cd888fccf32419e86a9ceeafbdc243586d27e13ec9d4bbcbf9f7aa94fde1bc19",
         "joint.model":
-            "ef57d88d32cd9d27d47dc18038cb7e9da5b406f5cfe1ad4e0c2ba59690cf7c2c",
+            "4a1080d4ee69802f2b7b934f0a99158d9688e02bc11c81e25fb42d3be215ebfc",
         "joint.weights":
-            "8cf7dc875cac5322c3fa4da56cad84c87af1715b996a24128db39a8f238d482b",
+            "c7df369d029f17e42b482eb3611a2be909f889924b23e39171a3e597eb1dda30",
         "simplecil.report":
             "3a5f3e7a97b0524eecf93559427d26e5cbb019627b8115d3068ceb3e4e078ead",
     },
@@ -97,27 +97,27 @@ GOLDEN = {
         "tosca.report":
             "353846bab6e6341c1204c03a7683b7a6fa75e68002321c60ab0fdee0da425a96",
         "tosca.bank":
-            "a856fa20fce3891e36c86a07735e59c85b20b87cb1f29b2df443048b36c90b4c",
+            "81096a47b6ddd111eff9aeca49fa9d14e567242c0fa929fd77096595e699b581",
         "tosca.weights":
-            "e28c0586e8970656104567a629ab724f5f8dcef99146f87e191c7ba80201f672",
+            "a8d03272570a6b5b043fdd1967e7ae233ab4e36b9b7a8fb525acc34af6395822",
         "tosca_r.report":
             "20c0d2d5f11e4cc462680bf4aeecd7446a18614eb6536b51b7db8e6a24ba5d6e",
         "tosca_r.bank":
-            "157e0f75de9d691fc529cb97f24ff6543b3f316e55662796fd436f2c51cb7c48",
+            "2a6bab006b190993798a8b04bf4456ca882efc0df418117e65a465a6ccc3dd86",
         "tosca_r.weights":
-            "a744dfefb79cd35cf1f1d2ab56a75073a3b485be4e6976c27147c0cd4ca97ed9",
+            "344a5958b1729a7a1355100e1167aa9b32a4fb049157c628ff2df721d1ca2462",
         "finetune.report":
             "8b54fbc044f479553d1523201ca440e90b52d7a6a07b7f1f149644db8285d673",
         "finetune.model":
-            "f636f129c2c44857d9c802a1c19628d6fc558a94749c874aec8b3a049d806f8a",
+            "63db123ce023811700d3a972136861a9c26df293f6a4849f9c21386e7b1a96e5",
         "finetune.weights":
-            "703fb23c74cdc4083b6bd3f1b4600980255d23ad50acb3f213dd5b4fa1a3a7a9",
+            "b11a5aa00494f72bbbd4dab1172766fb3c0cf6538bac3a5324afb6262b9649e0",
         "joint.report":
             "86bfcdfc702663f72719ff266e7be9d0b7e486832317ed935dbe14b3a02c7a94",
         "joint.model":
-            "7b2dca5c7a4a9be86cc687cde53b8a2cba9fcde051c9d90e2f85133c6fb4d4dc",
+            "195438a63d48b1215a4f77ed037d358b78b2787f03512d4da5ad9e19c6cbf6fe",
         "joint.weights":
-            "e198b87fa6f03230aae5ee8d141411ce4db22d20c7e1cac39b0e4038d26970a0",
+            "0b64d69dcb8362ad5cd737b912b0aa6b91d076f02f1621c0bd531dad502ff2c6",
         "simplecil.report":
             "1ea315aec0340d1b6403cfb5cd1723ce0ce3c53e013227c06dfe8e81baa1678b",
     },

@@ -395,25 +395,53 @@ def test_batch_forward_matches_single():
             assert np.allclose(batch[i], want, rtol=1e-12, atol=1e-12)
 
 
-def test_batch_forward_computes_in_its_rows_dtype():
+def test_batch_forward_computes_in_its_rows_dtype(monkeypatch):
+    # and the backward in its upstream's, which training gives as float32
     for rev in (False, True):
         cfg = LucaConfig(reversed=rev)
         m = init_luca(9, 3, config=cfg, rng_seed=21)  # float32 weights
         m.w_up[:] = Xoshiro256StarStar(22).normals(27).reshape(3, 9) * 0.3
         Z32 = Xoshiro256StarStar(23).normals(45).reshape(5, 9).astype(
             np.float32)
+        U32 = Xoshiro256StarStar(24).normals(45).reshape(5, 9).astype(
+            np.float32)
         out32, cache = luca_forward_batch(Z32, m, return_cache=True)
         assert out32.dtype == np.float32
         assert all(a.dtype == np.float32 for half in cache for a in half)
         # float64 rows upcast the weights: the float64 result, which the
         # float32 one follows to float32 precision
-        out64 = luca_forward_batch(Z32.astype(np.float64), m)
+        out64, cache64 = luca_forward_batch(Z32.astype(np.float64), m,
+                                            return_cache=True)
         assert out64.dtype == np.float64
         np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-6)
         # float64 weights under float32 rows are cast down to them
         m64 = replace(m, **{k: getattr(m, k).astype(np.float64)
                             for k in ("w_down", "w_up", "v_down", "v_up")})
         assert np.array_equal(luca_forward_batch(Z32, m64), out32)
+        g32 = luca_backward_batch(m, cache, U32)
+        flat32 = np.empty(4 * 9 * 3, dtype=np.float32)
+        luca_backward_batch(m, cache, U32, out=flat32)
+        g64 = luca_backward_batch(m, cache64, U32.astype(np.float64))
+        for slot, view in zip(_SLOTS, matrix_views(flat32, 9, 3)):
+            assert getattr(g32, slot).dtype == np.float32
+            assert np.array_equal(view, getattr(g32, slot))
+            assert getattr(g64, slot).dtype == np.float64
+            np.testing.assert_allclose(getattr(g32, slot), getattr(g64, slot),
+                                       rtol=1e-4, atol=1e-6)
+        assert g32.d_input.dtype == np.float32
+        assert g64.d_input.dtype == np.float64
+    # the built-in check still runs its backward in float64
+    upstreams = []
+    real = luca_backward_batch
+
+    def spy(m, cache, U, out=None):
+        grads = real(m, cache, U, out=out)
+        upstreams.append(U.dtype == grads.w_down.dtype == np.float64)
+        return grads
+
+    monkeypatch.setattr(tosca.luca, "luca_backward_batch", spy)
+    assert gradient_check(trials=2) <= 1e-4
+    assert upstreams and all(upstreams)
 
 
 def test_batch_backward_sums_per_sample_grads():

@@ -142,7 +142,7 @@ def test_training_errors():
 
 @pytest.mark.parametrize("name", ["w_down", "w_up", "v_down", "v_up", "head.w"])
 def test_training_refuses_weights_that_are_not_float32(name, monkeypatch):
-    # a float64 weight would train without the per-step float32 rounding
+    # training computes in float32, so a float64 weight is refused
     train, module, head = _toy_problem()
     if name == "head.w":
         head = make_head(8, (0, 1), dtype=np.float64)
@@ -332,9 +332,9 @@ def _pair_problem(pair_index):
 
 @pytest.mark.parametrize("rule", sorted(_STEP_RULES))
 @pytest.mark.parametrize("pair_index", range(len(_PAIRS)))
-def test_training_matches_the_per_step_round_trip_bit_for_bit(pair_index, rule):
-    # float64 working copies and cached activation derivatives against the
-    # reference loop that upcasts, recomputes and downcasts at every step
+def test_training_matches_the_float32_reference_bit_for_bit(pair_index, rule):
+    # one flat float32 vector and cached activation derivatives against the
+    # reference loop that steps each matrix and recomputes at every step
     cfg = OptimConfig(epochs=3, **_STEP_RULES[rule])
     train, module, head = _pair_problem(pair_index)
     w_down_at_init = module.w_down.copy()
@@ -364,15 +364,18 @@ def test_training_steps_on_the_backward_gradients_bit_for_bit(
     real_backward, real_step = optim.luca_backward_batch, optim.sgd_l1_step
 
     def backward(m, cache, U, out=None):
-        assert out is not None and out.dtype == np.float64
+        assert out is not None and out.dtype == np.float32
         want = real_backward(m, cache, U)
         expected.append(np.concatenate([want.w_down.ravel(), want.w_up.ravel(),
                                         want.v_down.ravel(), want.v_up.ravel()]))
         return real_backward(m, cache, U, out=out)
 
     def step(theta, grad, lr, lam, mode="subgradient"):
+        assert theta.dtype == grad.dtype == np.float32
         received.append(grad.copy())
-        return real_step(theta, grad, lr, lam, mode)
+        out = real_step(theta, grad, lr, lam, mode)
+        assert out.dtype == np.float32
+        return out
 
     monkeypatch.setattr(optim, "luca_backward_batch", backward)
     monkeypatch.setattr(optim, "sgd_l1_step", step)
