@@ -20,6 +20,8 @@ dtype (``numerics.float_array``), the backward in its upstream's: float32
 in training, float64 in ``gradient_check``.  Training gives the backward
 one flat float32 vector as ``out``: each weight gradient is written into
 its ``matrix_views`` slice of it, and the input gradient is skipped.
+Each backward array that a matmul reads and that float32 can underflow is
+flushed of subnormals (``numerics.flush_subnormals``) first.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 # vecmat: unused here, but the benchmark tracer's numerics.vecmat seam wraps it
 from .numerics import (ACTIVATIONS, activation, activation_grad, float_array,
-                       vecmat)
+                       flush_subnormals, vecmat)
 from .rng import Xoshiro256StarStar
 
 INIT_STD = 0.02
@@ -131,10 +133,10 @@ def init_luca(d: int, r: int, config: LucaConfig | None = None, rng_seed: int = 
 def luca_forward(z, m: LucaModule) -> np.ndarray:
     """Full module: calibrator(adapter(z)), or adapter(calibrator(z)) if reversed.
 
-    One row through ``luca_forward_batch``, so a sample gives the same
-    result whether it is scored alone or as a one-row batch.
+    One row through ``luca_forward_batch``, so a sample gives the same bits
+    whether it is scored alone or as a one-row batch.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = float_array(z)
     if z.shape != (m.d,):
         raise ValueError("dimension mismatch")
     return luca_forward_batch(z[None, :], m)[0]
@@ -181,12 +183,13 @@ def _calibrator_rows(X, vd, vu, cfg: LucaConfig, keep: bool):
 def _adapter_grads(cache, wd, wu, cfg: LucaConfig, dOut, d_wd, d_wu,
                    need_input: bool):
     # (dW_down, dW_up, dX) given _adapter_rows' cache and upstream dOut:
-    # dH = (dOut W_up^T) * act_a'(H), dW_down = X^T dH, dW_up = S^T dOut and
-    # dX = dOut + dH W_down^T.  The weight gradients go to d_wd and d_wu
+    # dH = flush((dOut W_up^T) * act_a'(H)), dW_down = X^T dH, dW_up = S^T dOut
+    # and dX = dOut + dH W_down^T.  The weight gradients go to d_wd and d_wu
     # (None allocates); dX is None unless need_input.
     X, H, S, Sc = cache
     dH = dOut @ wu.T
     dH *= activation_grad(cfg.adapter_act, H, Sc)
+    flush_subnormals(dH)
     d_wd = np.matmul(X.T, dH, out=d_wd)
     d_wu = np.matmul(S.T, dOut, out=d_wu)
     if not need_input:
@@ -199,19 +202,21 @@ def _adapter_grads(cache, wd, wu, cfg: LucaConfig, dOut, d_wd, d_wu,
 def _calibrator_grads(cache, vd, vu, cfg: LucaConfig, dOut, d_vd, d_vu,
                       need_input: bool):
     # (dV_down, dV_up, dX) given _calibrator_rows' cache and upstream dOut:
-    # dG = dOut * X, dQ = (dG V_up^T) * act_g'(Q), dV_down = X^T dQ,
-    # dV_up = T^T dG and dX = dOut * G + dQ V_down^T; outputs as above
+    # dG = flush(dOut * X), dQ = flush((dG V_up^T) * act_g'(Q)),
+    # dV_down = X^T dQ, dV_up = T^T dG and dX = flush(dOut * G + dQ V_down^T);
+    # outputs as above.  flush is numerics.flush_subnormals.
     X, Q, T, G, Tc = cache
-    dG = dOut * X
+    dG = flush_subnormals(dOut * X)
     dQ = dG @ vu.T
     dQ *= activation_grad(cfg.gate_act, Q, Tc)
+    flush_subnormals(dQ)
     d_vd = np.matmul(X.T, dQ, out=d_vd)
     d_vu = np.matmul(T.T, dG, out=d_vu)
     if not need_input:
         return d_vd, d_vu, None
     dX = dOut * G
     dX += dQ @ vd.T
-    return d_vd, d_vu, dX
+    return d_vd, d_vu, flush_subnormals(dX)
 
 
 def _matrices_as(m: LucaModule, dtype):
@@ -264,8 +269,9 @@ def luca_backward_batch(m: LucaModule, cache, U: np.ndarray,
     o_wd, o_wu, o_vd, o_vu = ((None,) * 4 if out is None
                               else matrix_views(out, m.d, m.r))
     need_input = out is None
-    if cfg.reversed:
-        d_wdown, d_wup, dC = _adapter_grads(adapter_cache, wd, wu, cfg, U,
+    if cfg.reversed:  # the adapter's matmuls read U, so flush a copy of it
+        d_wdown, d_wup, dC = _adapter_grads(adapter_cache, wd, wu, cfg,
+                                            flush_subnormals(U.copy()),
                                             o_wd, o_wu, True)
         d_vdown, d_vup, dZ = _calibrator_grads(calibrator_cache, vd, vu, cfg,
                                                dC, o_vd, o_vu, need_input)

@@ -22,8 +22,8 @@ give the same bits.
 Each function builds its temporaries in place, in the operation order of
 its formula, so the bits are those of the formula written out.  The first
 step writes into ``np.empty_like`` of the input, which keeps a 0-d input an
-array that the in-place steps can update.  No function writes to its
-inputs or to a cache.
+array that the in-place steps can update.  No function but
+``flush_subnormals`` writes to its inputs or to a cache.
 """
 
 from __future__ import annotations
@@ -120,6 +120,14 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     np.exp(P, out=P)
     P /= P.sum(axis=1, keepdims=True)
     return P
+
+
+def flush_subnormals(a: np.ndarray) -> np.ndarray:
+    """Zero every entry of ``a`` below ``finfo(a.dtype).tiny`` in magnitude,
+    in place, and return ``a``: an x86 multiply takes a microcode assist on
+    a subnormal operand, so a matmul that reads many runs many times slower."""
+    a[np.abs(a) < np.finfo(a.dtype).tiny] = 0.0
+    return a
 
 
 def vecmat(v, m) -> np.ndarray:

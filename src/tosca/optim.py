@@ -8,8 +8,9 @@ reads it through ``luca.matrix_views``, the backward writes each weight
 gradient into its view of one flat gradient vector, and one
 ``sgd_l1_step`` call updates all four.  The head is stepped in place.  The
 module's own arrays receive the vector at each epoch end, before the loss
-and the divergence check read them.  The L1 term touches only the four
-matrices, never the head.  Two L1 modes:
+and the divergence check read them.  The logit gradients are flushed of
+subnormals (``numerics.flush_subnormals``).  The L1 term touches only the
+four matrices, never the head.  Two L1 modes:
 
   subgradient   theta <- theta - lr * (g + lam * sign(theta)), sign(0) = 0
   proximal      theta <- soft_threshold(theta - lr * g, lr * lam)
@@ -26,7 +27,7 @@ from .data import FeatureDataset
 from .heads import SessionHead
 from .luca import (LucaModule, l1_norm, luca_backward_batch,
                    luca_forward_batch, matrix_views)
-from .numerics import float_array, softmax_rows
+from .numerics import float_array, flush_subnormals, softmax_rows
 from .rng import Xoshiro256StarStar
 
 L1_MODES = ("subgradient", "proximal")
@@ -111,7 +112,7 @@ def _batch_loss_grads(module, head_w, Z, y_cols, grad, d_head):
     """Summed cross-entropy over the batch, in the rows' dtype but for the
     float64 softmax of the (B, K) logits.  The gradients of its batch mean
     are written into ``grad``, the module's as one flat vector, and
-    ``d_head``."""
+    ``d_head``; the logit gradients are flushed of subnormals."""
     B = Z.shape[0]
     rows = np.arange(B)
     feats, cache = luca_forward_batch(Z, module, return_cache=True)
@@ -119,7 +120,7 @@ def _batch_loss_grads(module, head_w, Z, y_cols, grad, d_head):
     ce = float(-np.log(P[rows, y_cols] + 1e-300).sum())
     P[rows, y_cols] -= 1.0  # P minus the one-hot labels, built in place
     P /= B
-    dlogits = P.astype(feats.dtype)
+    dlogits = flush_subnormals(P.astype(feats.dtype))
     np.matmul(feats.T, dlogits, out=d_head)
     luca_backward_batch(module, cache, dlogits @ head_w.T, out=grad)
     return ce

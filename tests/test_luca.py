@@ -395,6 +395,15 @@ def test_batch_forward_matches_single():
             assert np.allclose(batch[i], want, rtol=1e-12, atol=1e-12)
 
 
+def test_a_float32_row_scores_as_its_one_row_batch():
+    m = init_luca(16, 4, rng_seed=3)  # float32 weights
+    m.w_up[:] = Xoshiro256StarStar(4).normals(64).reshape(4, 16) * 0.3
+    z = Xoshiro256StarStar(5).normals(16).astype(np.float32)
+    single = luca_forward(z, m)
+    assert single.dtype == np.float32
+    assert single.tobytes() == luca_forward_batch(z[None], m)[0].tobytes()
+
+
 def test_batch_forward_computes_in_its_rows_dtype(monkeypatch):
     # and the backward in its upstream's, which training gives as float32
     for rev in (False, True):

@@ -13,7 +13,7 @@ from scipy.special import erf
 
 from oracle import matvec, shannon_entropy, softmax
 from tosca.numerics import (ACTIVATIONS, activation, activation_grad,
-                            softmax_rows, vecmat)
+                            flush_subnormals, softmax_rows, vecmat)
 
 # 0.5 * x * (1 + erf(x / sqrt(2))), 40-digit evaluation, rounded to f64
 _GELU_TABLE = {
@@ -194,6 +194,17 @@ def test_softmax_shift_invariance_and_overflow_safety():
     big = softmax_rows(np.array([[1000.0, 0.0], [0.0, -1000.0]]))
     assert np.isfinite(big).all()
     assert big[:, 0].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flush_zeroes_exactly_the_entries_below_tiny(dtype):
+    tiny = np.finfo(dtype).tiny
+    a = np.array([tiny / 2, -tiny / 2, -0.0, tiny, -tiny, 1.0, np.nan,
+                  -np.inf], dtype=dtype)
+    kept = a[3:].copy()
+    assert flush_subnormals(a) is a
+    assert a[:3].tobytes() == np.zeros(3, dtype).tobytes()  # +0, not -0
+    assert a[3:].tobytes() == kept.tobytes()
 
 
 def test_softmax_is_distribution():

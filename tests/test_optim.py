@@ -1,6 +1,7 @@
 """Optimizer tests: cosine schedule, L1 step rules, and the training loop."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -436,3 +437,67 @@ def test_each_step_evaluates_every_activation_once(pair_index, monkeypatch):
                       "sigmoid": steps * halves.count("sigmoid"),
                       "activation_grad": 2 * steps,
                       "sgd_l1_step": steps}
+
+
+class _MatmulSpy:
+    """Stands in for a module's ``np``: records every ``np.matmul`` operand
+    that holds a float32 subnormal, and passes everything else through."""
+
+    def __init__(self, where):
+        self.where = where
+        self.subnormal = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        for x in (a, b):
+            small = np.abs(x[x != 0.0]) < np.finfo(np.float32).tiny
+            if x.dtype == np.float32 and small.any():
+                self.subnormal.append((self.where, x.shape))
+        return np.matmul(a, b, out=out)
+
+
+@pytest.mark.parametrize("rev", [False, True])
+def test_no_subnormal_reaches_a_backward_matmul(rev, monkeypatch):
+    # widely separated float32 rows on d=8: gelu's tail underflows in both
+    # halves and near-zero losses leave subnormal logit gradients, so every
+    # flush has entries to clear; none may change a trained bit
+    cfg = LucaConfig(adapter_act="gelu", gate_act="gelu", gate_residual=True,
+                     reversed=rev)
+
+    def problem():
+        train, _ = synth_gaussian(d=8, num_classes=3, n_train=35, n_test=1,
+                                  separation=138.0, sigma=5.0, seed=11)
+        return (train, init_luca(8, 4, config=cfg, rng_seed=6),
+                make_head(8, (0, 1, 2)))
+
+    flushed = {}
+    real_flush = tosca.numerics.flush_subnormals
+
+    def flush(a):
+        site = sys._getframe(1).f_code.co_name
+        small = np.abs(a[a != 0.0])
+        flushed[site] = (flushed.get(site, 0)
+                         + int((small < np.finfo(a.dtype).tiny).sum()))
+        return real_flush(a)
+
+    spies = [_MatmulSpy("luca"), _MatmulSpy("optim")]
+    for mod, spy in zip((tosca.luca, optim), spies):
+        monkeypatch.setattr(mod, "np", spy)
+        monkeypatch.setattr(mod, "flush_subnormals", flush)
+    train, module, head = problem()
+    train_epochs(module, head, train, OptimConfig(epochs=3),
+                 Xoshiro256StarStar(5))
+    monkeypatch.undo()
+    assert spies[0].subnormal == spies[1].subnormal == []
+    sites = ["_adapter_grads", "_calibrator_grads", "_batch_loss_grads"]
+    if rev:  # the adapter runs first and reads a flushed copy of U
+        sites.append("luca_backward_batch")
+    assert all(flushed.get(site) for site in sites), flushed
+    train, ref_m, ref_h = problem()
+    train_epochs_reference(ref_m, ref_h, train, OptimConfig(epochs=3),
+                           Xoshiro256StarStar(5))
+    for g, r in zip(list(module.matrices()) + [head.w],
+                    list(ref_m.matrices()) + [ref_h.w]):
+        assert g.tobytes() == r.tobytes()
