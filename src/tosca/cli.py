@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .data import load_features, make_splits, save_features, synth_gaussian
+from .data import (load_features, make_splits, replace_file, save_features,
+                   synth_gaussian)
 from .engine import METHODS, ScenarioConfig, run_scenario
 from .luca import LucaConfig, gradient_check
 from .optim import L1_MODES, OptimConfig
@@ -133,24 +134,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _float_list(text: str) -> list[float]:
+def _number_list(text: str, kind) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"bad number list {text!r}") from None
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValueError(f"bad number list {text!r}") from None
 
 
 def _cmd_sweep(args) -> int:
     train, test, splits = _scenario_inputs(args)
-    lambdas = _float_list(args.lambdas)
-    ranks = _int_list(args.rs)
+    lambdas = _number_list(args.lambdas, float)
+    ranks = _number_list(args.rs, int)
     if not lambdas or not ranks:
         raise ValueError("empty sweep grid")
     lines = ["lambda,r,A_B,A_bar"]
@@ -162,8 +156,7 @@ def _cmd_sweep(args) -> int:
             last = rep.stages[-1]["A_b"]
             lines.append(f"{lam:g},{r},{last:.6f},{rep.A_bar:.6f}")
             print(f"lambda={lam:g} r={r}: A_B={last:.2f} A_bar={rep.A_bar:.2f}")
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    replace_file(args.out, ["\n".join(lines).encode() + b"\n"])
     print(f"wrote {args.out}")
     return 0
 

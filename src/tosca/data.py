@@ -12,6 +12,7 @@ File layout (all little endian):
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -114,8 +115,6 @@ def make_splits(class_ids, base: int, increment: int, seed: int) -> SplitPlan:
     while pos < len(shuffled):
         stages.append(tuple(shuffled[pos:pos + increment]))
         pos += increment
-    if not stages:
-        raise ValueError("split mismatch")
     return SplitPlan(stages=tuple(stages), seed=seed)
 
 
@@ -133,6 +132,9 @@ def synth_gaussian(d: int, num_classes: int, n_train: int, n_test: int,
     """
     if d < 2 or num_classes < 2 or n_train < 1 or n_test < 1:
         raise ValueError("invalid parameters")
+    for name, value in (("separation", separation), ("sigma", sigma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, not {value}")
     if separation <= 0.0 or sigma <= 0.0:
         raise ValueError("invalid parameters")
     mean_gen = Xoshiro256StarStar(seed, stream=0)
@@ -198,20 +200,28 @@ def save_features(ds: FeatureDataset, path) -> None:
                         packed.tobytes()])
 
 
-def load_features(path, name: str | None = None) -> FeatureDataset:
+def read_container(path, magic: bytes, header: struct.Struct, version: int,
+                   kind: str) -> tuple[bytes, int, tuple]:
+    """Check a container's magic, header length and version (``header``'s
+    first field); return its bytes, its body's offset and the other fields."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < len(MAGIC) or blob[:len(MAGIC)] != MAGIC:
-        raise ValueError("not a feature file")
-    off = len(MAGIC)
-    if len(blob) < off + _HEAD.size:
+    if blob[:len(magic)] != magic:
+        raise ValueError(f"not a {kind} file")
+    off = len(magic) + header.size
+    if len(blob) < off:
         raise ValueError("unexpected end of file")
-    version, d, n = _HEAD.unpack_from(blob, off)
-    if version != FORMAT_VERSION:
+    found, *fields = header.unpack_from(blob, len(magic))
+    if found != version:
         raise ValueError("unsupported version")
+    return blob, off, tuple(fields)
+
+
+def load_features(path, name: str | None = None) -> FeatureDataset:
+    blob, off, (d, n) = read_container(path, MAGIC, _HEAD, FORMAT_VERSION,
+                                       "feature")
     if d < 1 or d > MAX_DIM:
         raise ValueError("not a feature file")
-    off += _HEAD.size
     record = np.dtype([("label", "<u4"), ("feat", "<f4", (d,))])
     need = n * record.itemsize
     if len(blob) - off < need:

@@ -61,7 +61,7 @@ import os
 import struct
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from itertools import count
 from multiprocessing.connection import wait
@@ -70,7 +70,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .data import FeatureDataset, SplitPlan, replace_file
+from .data import FeatureDataset, SplitPlan, read_container, replace_file
 # head_forward, luca_forward: unused here, but the benchmark tracer wraps them
 from .heads import (SessionHead, build_prototypes, extend_head, head_forward,
                     head_forward_batch, make_head, prototype_classify_batch)
@@ -84,6 +84,7 @@ METHODS = ("tosca", "tosca_r", "finetune", "joint", "simplecil")
 
 BANK_MAGIC = b"LUCABANK"
 BANK_VERSION = 2
+_BANK_HEAD = struct.Struct("<IIII")  # version, d, r, count (after the magic)
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
 _U64 = (1 << 64) - 1
@@ -163,13 +164,7 @@ class ScenarioConfig:
             "r": self.r,
             **asdict(self.luca),
             "normalize_entropy": self.normalize_entropy,
-            "lr_max": self.optim.lr_max,
-            "lr_min": self.optim.lr_min,
-            "epochs": self.optim.epochs,
-            "batch_size": self.optim.batch_size,
-            "lambda_l1": self.optim.lambda_l1,
-            "l1_mode": self.optim.l1_mode,
-            "momentum": self.optim.momentum,
+            **asdict(self.optim),
         }
 
 
@@ -457,15 +452,8 @@ class ScenarioReport:
     artifacts: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "config": self.config,
-            "stages": self.stages,
-            "A_bar": self.A_bar,
-            "params_per_task": self.params_per_task,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "artifacts"}
 
 
 @contextmanager
@@ -872,6 +860,11 @@ def fnv1a(data) -> int:
     return h
 
 
+def _entry_size(d: int, r: int, k: int) -> int:
+    """Bytes of one entry in a bank file, its checksum included."""
+    return 12 + 4 * k + 4 * (4 * d * r + d * k) + 8
+
+
 def _entry_bytes(entry: BankEntry) -> bytes:
     m = entry.module
     head = entry.head
@@ -895,8 +888,8 @@ def save_bank(bank: ModuleBank, path) -> None:
     so an entry that cannot be serialized raises with no file made, and a
     write that fails leaves an existing file as it was.
     """
-    parts = [BANK_MAGIC, struct.pack("<IIII", BANK_VERSION, bank.feature_dim,
-                                     bank.rank, len(bank))]
+    parts = [BANK_MAGIC, _BANK_HEAD.pack(BANK_VERSION, bank.feature_dim,
+                                         bank.rank, len(bank))]
     for entry in bank.entries:
         blob = _entry_bytes(entry)
         parts += (blob, struct.pack("<Q", fnv1a(blob)))
@@ -910,24 +903,13 @@ def load_bank(path) -> ModuleBank:
     the file's bytes: nothing is decoded or copied, and serving reads the
     weights in place.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(BANK_MAGIC) or blob[:len(BANK_MAGIC)] != BANK_MAGIC:
-        raise ValueError("not a bank file")
-    off = len(BANK_MAGIC)
-    head_struct = struct.Struct("<IIII")
-    if len(blob) < off + head_struct.size:
-        raise ValueError("unexpected end of file")
-    version, d, r, count = head_struct.unpack_from(blob, off)
-    off += head_struct.size
-    if version != BANK_VERSION:
-        raise ValueError("unsupported version")
+    blob, off, (d, r, count) = read_container(path, BANK_MAGIC, _BANK_HEAD,
+                                              BANK_VERSION, "bank")
     if d < 1:
         raise ValueError("not a bank file")
     if r < 1 and count > 0:
         raise ValueError("rank r=0 in a bank with entries")
-    smallest = 12 + 4 + 4 * (4 * d * r + d) + 8  # an entry with K = 1
-    if count * smallest > len(blob) - off:
+    if count * _entry_size(d, r, 1) > len(blob) - off:
         raise ValueError(f"entry count {count} does not fit in the "
                          f"{len(blob) - off} bytes after the header")
     bank = ModuleBank(d)
@@ -939,23 +921,17 @@ def load_bank(path) -> ModuleBank:
         off += 12
         if k < 1:
             raise ValueError("not a bank file")
-        if len(blob) < off + 4 * k:
+        if len(blob) < start + _entry_size(d, r, k):
             raise ValueError("unexpected end of file")
         class_ids = struct.unpack_from(f"<{k}I", blob, off)
         off += 4 * k
-        shapes = [(d, r), (r, d), (d, r), (r, d), (d, k)]
         mats = []
-        for shape in shapes:
-            nbytes = 4 * shape[0] * shape[1]
-            if len(blob) < off + nbytes:
-                raise ValueError("unexpected end of file")
+        for shape in [(d, r), (r, d), (d, r), (r, d), (d, k)]:
             # a view of the bytes, so read-only: a loaded bank is frozen
             mats.append(np.frombuffer(blob, dtype="<f4",
                                       count=shape[0] * shape[1],
                                       offset=off).reshape(shape))
-            off += nbytes
-        if len(blob) < off + 8:
-            raise ValueError("unexpected end of file")
+            off += 4 * shape[0] * shape[1]
         (stored,) = struct.unpack_from("<Q", blob, off)
         if fnv1a(memoryview(blob)[start:off]) != stored:
             raise ValueError("checksum mismatch")

@@ -55,11 +55,11 @@ def make_head(d: int, class_ids, dtype=np.float32) -> SessionHead:
 
 
 def head_forward(z, head: SessionHead) -> np.ndarray:
-    """Logits for one sample, z @ W in float64."""
-    z = np.asarray(z, dtype=np.float64)
+    """Logits for one sample: one row through ``head_forward_batch``."""
+    z = float_array(z)
     if z.shape != (head.d,):
         raise ValueError("dimension mismatch")
-    return z @ np.asarray(head.w, dtype=np.float64)
+    return head_forward_batch(z[None, :], head)[0]
 
 
 def head_forward_batch(Z: np.ndarray, head: SessionHead) -> np.ndarray:

@@ -331,6 +331,8 @@ def gradient_check(trials: int = 20, d_max: int = 16, r_max: int = 4,
     flags across ``trials`` random float64 modules.  Inputs are resampled when
     a relu pre-activation sits within 1e-6 of its kink.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     gen = Xoshiro256StarStar(seed)
     combos = [(a, g) for a in ACTIVATIONS for g in ACTIVATIONS]
     worst = 0.0

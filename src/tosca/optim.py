@@ -44,6 +44,10 @@ class OptimConfig:
     momentum: float = 0.0
 
     def __post_init__(self):
+        for name in ("lr_max", "lr_min", "lambda_l1"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value}")
         if self.lr_max < self.lr_min:
             raise ValueError("lr_max must be >= lr_min")
         if self.lr_min < 0.0:

@@ -7,7 +7,7 @@ it); any port to another language must reproduce it bit for bit.
   sequence; stream ``k`` takes splitmix64 outputs ``4k .. 4k+3`` as its
   xoshiro256** state words.  An all-zero state (vanishingly unlikely) is
   repaired by replacing the first word with the splitmix64 gamma.
-* ``next_u64`` is the reference xoshiro256** step.
+* ``next_u64`` is the next raw output of the xoshiro256** step.
 * Uniforms in [0, 1): ``(x >> 11) * 2**-53``.
 * Normals: Box-Muller over consecutive output pairs.  The radius draw maps to
   (0, 1] via ``((x >> 11) + 1) * 2**-53`` so the log stays finite; cos uses
@@ -265,18 +265,7 @@ class Xoshiro256StarStar:
         self._spare: float | None = None
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        v = (s1 * 5) & _MASK
-        result = ((((v << 7) | (v >> 57)) & _MASK) * 9) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
-        self._s = (s0, s1, s2, s3)
-        return result
+        return int(self._scalar_uint64s(1)[0])
 
     def _scalar_uint64s(self, count: int) -> np.ndarray:
         """The next ``count`` raw outputs: the state steps one at a time, and

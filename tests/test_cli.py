@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import tosca.data
 from tosca.cli import main
 from tosca.data import load_features, make_splits, synth_gaussian
 from tosca.engine import ScenarioConfig, run_scenario
@@ -134,6 +135,69 @@ def test_sweep_rejects_empty_grid(bench, tmp_path, capsys):
             "--lambdas", ",", "--rs", "8", "--out", str(tmp_path / "x.csv")]
     assert main(args) == 1
     assert "error: empty sweep grid" in capsys.readouterr().err
+
+
+def test_sweep_write_that_fails_partway_keeps_the_old_file(bench, tmp_path,
+                                                          monkeypatch):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "sweep.csv"
+    out.write_bytes(b"old bytes")
+    real_open = open
+
+    class DiskFull:
+        # takes one byte of what it is given, then fails
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, parts):
+            self.fh.write(b"".join(parts)[:1])
+            raise OSError(28, "No space left on device")
+
+    def failing_open(path, mode="r"):
+        fh = real_open(path, mode)
+        return DiskFull(fh) if "x" in mode else fh
+
+    monkeypatch.setattr(tosca.data, "open", failing_open, raising=False)
+    args = ["sweep", "--data", f"{bench}.train.ftr", "--inc", "2",
+            "--epochs", "1", "--lambdas", "0", "--rs", "4", "--out", str(out)]
+    assert main(args) == 1
+    assert out.read_bytes() == b"old bytes"
+    assert [q.name for q in out_dir.iterdir()] == ["sweep.csv"]
+
+
+def _refused(capsys, argv, message):
+    # exit 1 with one error line, no traceback
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {message}"]
+
+
+def test_non_finite_floats_are_refused_by_name(bench, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    _refused(capsys, _run_args(bench, ["--lr", "nan", "--out", str(out)]),
+             "lr_max must be finite, not nan")
+    _refused(capsys, _run_args(bench, ["--lambda", "inf", "--out", str(out)]),
+             "lambda_l1 must be finite, not inf")
+    assert not out.exists()
+    prefix = tmp_path / "nan"
+    _refused(capsys, _synth_args(prefix) + ["--sigma", "nan"],
+             "sigma must be finite, not nan")
+    _refused(capsys, _synth_args(prefix) + ["--separation=-inf"],
+             "separation must be finite, not -inf")
+    assert not any(q.name.startswith("nan") for q in tmp_path.iterdir())
+
+
+def test_gradcheck_refuses_no_trials(capsys):
+    for trials in ("0", "-3"):
+        _refused(capsys, ["gradcheck", "--trials", trials],
+                 f"trials must be at least 1, not {trials}")
 
 
 def test_gradcheck_passes(capsys):

@@ -1,6 +1,7 @@
 """Split plans, the synthetic benchmark, and the binary feature container."""
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -234,6 +235,16 @@ def test_synth_rejects_bad_parameters():
     ):
         with pytest.raises(ValueError, match="invalid parameters"):
             synth_gaussian(seed=1, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["separation", "sigma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_synth_refuses_non_finite_floats_by_name(name, value):
+    kwargs = dict(d=2, num_classes=2, n_train=1, n_test=1, separation=10.0,
+                  sigma=1.0, seed=1)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite, not "):
+        synth_gaussian(**kwargs)
 
 
 def test_subset_filters_and_preserves_order():

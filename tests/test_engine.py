@@ -1128,6 +1128,7 @@ def test_bank_load_hashes_each_entry_in_place(tmp_path, monkeypatch):
     bank = ModuleBank(3)
     bank.append(_entry(1, 3, (4, 9)))
     bank.append(_entry(2, 3, (5,), seed=1))
+    bank.append(_entry(3, 3, (0, 1, 2, 3, 8), seed=2))
     p = tmp_path / "b.luca"
     save_bank(bank, p)
     seen = []
@@ -1141,6 +1142,10 @@ def test_bank_load_hashes_each_entry_in_place(tmp_path, monkeypatch):
     load_bank(p)
     sizes = [len(engine._entry_bytes(e)) for e in bank.entries]
     assert seen == [(memoryview, n) for n in sizes]
+    # _entry_size counts the 8-byte checksum too, at K = 2, 1 and 5
+    assert [engine._entry_size(3, bank.rank, len(e.class_ids))
+            for e in bank.entries] == [n + 8 for n in sizes]
+    assert sum(n + 8 for n in sizes) == p.stat().st_size - 24
 
 
 def test_bank_load_checks_the_entry_count_first(tmp_path):

@@ -77,6 +77,18 @@ def test_head_batch_multiplies_in_its_rows_dtype():
     assert np.array_equal(out64, Z @ h.w.astype(np.float64))
 
 
+def test_head_forward_is_one_row_of_the_batch():
+    # a float32 row gets float32 logits, the bits of its one-row batch
+    gen = Xoshiro256StarStar(8)
+    h = make_head(24, (1, 4, 6))
+    h.w[:] = gen.normals(72).reshape(24, 3).astype(np.float32)
+    for z in gen.normals(5 * 24).reshape(5, 24).astype(np.float32):
+        got = head_forward(z, h)
+        assert got.dtype == np.float32
+        assert got.tobytes() == head_forward_batch(z[None], h)[0].tobytes()
+    assert head_forward(z.astype(np.float64), h).dtype == np.float64
+
+
 def test_extend_head_keeps_old_columns_and_sorts():
     h = make_head(3, (4, 6))
     h.w[:, 0] = [1, 2, 3]

@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is used somewhere in the package.
 
 Written with the standard library's ``ast``, so it needs no linter.
-``__init__`` is skipped: it imports to re-export.
+``__init__`` is skipped by the import check: it imports to re-export.
 """
 
 import ast
@@ -41,3 +42,53 @@ def test_every_import_is_used():
                   for name in _unused_imports(path.read_text())}
     # exactly the seam-only imports: a stale allowlist entry fails too
     assert found == SEAM_ONLY
+
+
+def _private_definitions(source: str) -> set:
+    """Module-level functions, classes and constants whose names start with
+    a single underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(source: str) -> set:
+    """Names read, attributes looked up and names imported."""
+    refs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def _unreferenced(sources: list) -> set:
+    defined = set().union(*map(_private_definitions, sources))
+    return defined - set().union(*map(_references, sources))
+
+
+def test_unreferenced_finds_what_it_should():
+    src = ("_A = 1\n_B: int = 2\n__all__ = []\nPUBLIC = _A\n"
+           "def _number_list(t):\n    return t\n"
+           "def _float_list(t):\n    _C = 3\n    return t\n"
+           "class _Unused:\n    pass\n"
+           "print(_number_list(PUBLIC))\n")
+    assert _unreferenced([src]) == {"_B", "_float_list", "_Unused"}
+    # a use in another module counts, as an import or an attribute
+    other = "from .m import _float_list\nm._B\n"
+    assert _unreferenced([src, other]) == {"_Unused"}
+
+
+def test_every_private_name_is_referenced():
+    sources = [path.read_text()
+               for path in sorted(Path(tosca.__file__).parent.glob("*.py"))]
+    assert _unreferenced(sources) == set()

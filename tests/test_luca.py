@@ -369,6 +369,12 @@ def test_dead_relu_bottleneck_blocks_w_up_grad():
     assert np.array_equal(g.w_down, np.zeros((3, 2)))
 
 
+def test_gradient_check_refuses_zero_trials():
+    # no trial checks nothing: criterion 1 must not pass vacuously
+    with pytest.raises(ValueError, match="trials must be at least 1, not 0"):
+        gradient_check(trials=0)
+
+
 def test_builtin_gradient_check_is_tight_and_fast():
     start = time.perf_counter()
     err = gradient_check(trials=20)

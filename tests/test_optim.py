@@ -105,6 +105,13 @@ def test_config_validation():
     OptimConfig(epochs=0)  # zero epochs is a valid no-op request
 
 
+@pytest.mark.parametrize("name", ["lr_max", "lr_min", "lambda_l1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_refuses_non_finite_floats_by_name(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, not "):
+        OptimConfig(**{name: value})
+
+
 def _toy_problem(data_seed=11, init_seed=6):
     train, _ = synth_gaussian(d=8, num_classes=2, n_train=100, n_test=10,
                               separation=6.0, sigma=1.0, seed=data_seed)

@@ -91,11 +91,18 @@ def test_derive_seeds_are_splitmix_outputs():
     assert derive_seeds(0, 1) == splitmix64(0, 1)
 
 
+def _oracle(seed, stream=0):
+    # the oracle stepping from a library generator's initial state: the
+    # reference for every request below the bulk crossover, which runs the
+    # same scalar loop as next_u64
+    return _OracleXoshiro(Xoshiro256StarStar(seed, stream)._s)
+
+
 def test_uniform_construction():
     gen = Xoshiro256StarStar(3)
-    raw = Xoshiro256StarStar(3)
+    raw = _oracle(3)
     for _ in range(100):
-        want = (raw.next_u64() >> 11) * 2.0**-53
+        want = (raw.next() >> 11) * 2.0**-53
         assert gen.uniform() == want
 
 
@@ -115,8 +122,8 @@ def test_uniform_range_and_moments():
 def test_normals_box_muller_first_pair():
     gen = Xoshiro256StarStar(5)
     z = gen.normals(2)
-    raw = Xoshiro256StarStar(5)
-    x0, x1 = raw.next_u64(), raw.next_u64()
+    raw = _oracle(5)
+    x0, x1 = raw.next(), raw.next()
     u1 = ((x0 >> 11) + 1) * 2.0**-53
     u2 = (x1 >> 11) * 2.0**-53
     r = math.sqrt(-2.0 * math.log(u1))
@@ -142,9 +149,9 @@ def test_normals_moments_and_scaling():
 
 def test_below_replays_modulo():
     gen = Xoshiro256StarStar(21)
-    raw = Xoshiro256StarStar(21)
+    raw = _oracle(21)
     for n in (1, 2, 10, 1000):
-        assert gen.below(n) == raw.next_u64() % n
+        assert gen.below(n) == raw.next() % n
     with pytest.raises(ValueError):
         gen.below(0)
 
@@ -152,10 +159,10 @@ def test_below_replays_modulo():
 def test_permutation_is_fisher_yates():
     gen = Xoshiro256StarStar(13)
     perm = gen.permutation(20)
-    raw = Xoshiro256StarStar(13)
+    raw = _oracle(13)
     idx = list(range(20))
     for i in range(19, 0, -1):
-        j = raw.next_u64() % (i + 1)
+        j = raw.next() % (i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     assert perm.tolist() == idx
     assert sorted(perm.tolist()) == list(range(20))
@@ -164,23 +171,24 @@ def test_permutation_is_fisher_yates():
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 500])
 def test_permutation_replays_next_u64_fisher_yates(n):
     gen = Xoshiro256StarStar(17)
-    raw = Xoshiro256StarStar(17)
+    raw = _oracle(17)
     idx = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = raw.next_u64() % (i + 1)
+        j = raw.next() % (i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     assert gen.permutation(n).tolist() == idx
-    assert gen._s == raw._s
+    assert list(gen._s) == raw.state
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 499, 65_535])
 def test_scalar_uint64s_replay_next_u64(k):
     gen = Xoshiro256StarStar(29)
-    raw = Xoshiro256StarStar(29)
+    raw = _oracle(29)
     words = gen.uint64s(k)
     assert words.dtype == np.uint64
-    assert words.tolist() == [raw.next_u64() for _ in range(k)]
-    assert gen._s == raw._s
+    assert words.tolist() == [raw.next() for _ in range(k)]
+    assert list(gen._s) == raw.state
+    assert [gen.next_u64() for _ in range(3)] == [raw.next() for _ in range(3)]
 
 
 def test_shuffle_agrees_with_permutation():
@@ -234,12 +242,12 @@ def test_characteristic_polynomial_is_rederived_by_berlekamp_massey():
 
 def test_jump_polynomial_moves_the_state():
     for k in (0, 1, 255, 256, 1000):
-        raw = Xoshiro256StarStar(29)
-        start = np.array(raw._s, dtype=np.uint64)[:, None]
+        raw = _oracle(29)
+        start = np.array(raw.state, dtype=np.uint64)[:, None]
         for _ in range(k):
-            raw.next_u64()
+            raw.next()
         jumped = tosca.rng._jump(start, [tosca.rng._xpow(k)])
-        assert tuple(int(w) for w in jumped[0, :, 0]) == raw._s
+        assert [int(w) for w in jumped[0, :, 0]] == raw.state
 
 
 _CROSS = tosca.rng._BULK_MIN
