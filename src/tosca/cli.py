@@ -8,6 +8,7 @@ manual backward pass, ``report`` reprocesses saved JSON results.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .data import (load_features, make_splits, replace_file, save_features,
@@ -116,7 +117,19 @@ def _make_config(args, r: int, lam: float) -> ScenarioConfig:
     return ScenarioConfig(r=r, luca=luca, optim=optim)
 
 
+def _check_targets(*paths) -> None:
+    """Refuse, before any work, an output path that is a directory or whose
+    directory does not exist."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ValueError(f"cannot write {path}: no directory {folder}")
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_run(args) -> int:
+    _check_targets(args.out, args.plot)
     train, test, splits = _scenario_inputs(args)
     cfg = _make_config(args, args.r, args.lambda_l1)
     rep = run_scenario(train, test, splits, args.method, cfg, args.seed)
@@ -142,6 +155,7 @@ def _number_list(text: str, kind) -> list:
 
 
 def _cmd_sweep(args) -> int:
+    _check_targets(args.out)
     train, test, splits = _scenario_inputs(args)
     lambdas = _number_list(args.lambdas, float)
     ranks = _number_list(args.rs, int)
@@ -187,7 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, FloatingPointError, RuntimeError) as exc:
+    except (ValueError, OSError, FloatingPointError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -191,9 +191,13 @@ def replace_file(path, parts) -> None:
         raise
 
 
+def _record(d: int) -> np.dtype:
+    """One record of the feature file: a u32 label, then d float32 values."""
+    return np.dtype([("label", "<u4"), ("feat", "<f4", (d,))])
+
+
 def save_features(ds: FeatureDataset, path) -> None:
-    record = np.dtype([("label", "<u4"), ("feat", "<f4", (ds.d,))])
-    packed = np.empty(ds.n, dtype=record)
+    packed = np.empty(ds.n, dtype=_record(ds.d))
     packed["label"] = ds.labels
     packed["feat"] = ds.features
     replace_file(path, [MAGIC, _HEAD.pack(FORMAT_VERSION, ds.d, ds.n),
@@ -222,7 +226,7 @@ def load_features(path, name: str | None = None) -> FeatureDataset:
                                        "feature")
     if d < 1 or d > MAX_DIM:
         raise ValueError("not a feature file")
-    record = np.dtype([("label", "<u4"), ("feat", "<f4", (d,))])
+    record = _record(d)
     need = n * record.itemsize
     if len(blob) - off < need:
         raise ValueError("unexpected end of file")

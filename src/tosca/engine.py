@@ -75,7 +75,7 @@ from .data import FeatureDataset, SplitPlan, read_container, replace_file
 from .heads import (SessionHead, build_prototypes, extend_head, head_forward,
                     head_forward_batch, make_head, prototype_classify_batch)
 from .luca import (LucaConfig, LucaModule, init_luca, luca_forward,
-                   luca_forward_batch, param_count)
+                   luca_forward_batch, matrix_views, param_count)
 from .numerics import ACTIVATIONS, softmax_rows
 from .optim import OptimConfig, train_epochs
 from .rng import Xoshiro256StarStar, derive_seeds
@@ -293,7 +293,7 @@ def score_sessions(Z: np.ndarray, entries):
         logits = head_forward_batch(feats, e.head)
         if not np.isfinite(logits).all():
             raise ValueError("non-finite logits")
-        P = softmax_rows(logits.astype(np.float64))
+        P = softmax_rows(logits)
         logP = np.log(np.where(P > 0.0, P, 1.0))
         h = 0.0 - (P * logP).sum(axis=1)  # a one-hot row gives 0.0, not -0.0
         ids = np.asarray(e.class_ids, dtype=np.int64)
@@ -337,18 +337,12 @@ def route(Z, bank: ModuleBank, normalize_entropy: bool = True) -> Routing:
     if not bank.entries:
         raise ValueError("empty bank")
     Z = _checked_rows(Z, bank.feature_dim)
-    n = Z.shape[0]
-    probs = []
-    entropies = np.empty((len(bank), n), dtype=np.float64)
-    picks = np.empty((len(bank), n), dtype=np.int64)
-    for i, (P, h, c) in enumerate(score_sessions(Z, bank.entries)):
-        probs.append(P)
-        entropies[i] = h
-        picks[i] = c
+    probs, entropies, picks = zip(*score_sessions(Z, bank.entries))
+    entropies = np.array(entropies)
     classes, sessions = pick_sessions(
-        entropies, picks, [len(e.class_ids) for e in bank.entries],
+        entropies, np.array(picks), [len(e.class_ids) for e in bank.entries],
         normalize_entropy)
-    return Routing(probs=probs, entropies=entropies, sessions=sessions,
+    return Routing(probs=list(probs), entropies=entropies, sessions=sessions,
                    classes=classes)
 
 
@@ -862,6 +856,7 @@ def fnv1a(data) -> int:
 
 def _entry_size(d: int, r: int, k: int) -> int:
     """Bytes of one entry in a bank file, its checksum included."""
+    # a Python int: numpy 2.4 wraps a >2 GiB structured dtype's itemsize
     return 12 + 4 * k + 4 * (4 * d * r + d * k) + 8
 
 
@@ -871,7 +866,7 @@ def _entry_bytes(entry: BankEntry) -> bytes:
     parts = [struct.pack("<II", entry.session_index, head.num_classes),
              bytes(v.index(getattr(m.config, f)) for f, v in _CONFIG_CODES)]
     parts.append(struct.pack(f"<{head.num_classes}I", *head.class_ids))
-    for mat in (m.w_down, m.w_up, m.v_down, m.v_up, head.w):
+    for mat in (*m.matrices(), head.w):
         parts.append(np.ascontiguousarray(mat, dtype="<f4").tobytes())
     return b"".join(parts)
 
@@ -925,13 +920,11 @@ def load_bank(path) -> ModuleBank:
             raise ValueError("unexpected end of file")
         class_ids = struct.unpack_from(f"<{k}I", blob, off)
         off += 4 * k
-        mats = []
-        for shape in [(d, r), (r, d), (d, r), (r, d), (d, k)]:
-            # a view of the bytes, so read-only: a loaded bank is frozen
-            mats.append(np.frombuffer(blob, dtype="<f4",
-                                      count=shape[0] * shape[1],
-                                      offset=off).reshape(shape))
-            off += 4 * shape[0] * shape[1]
+        # the module's 4*d*r floats, then the head's d*K, as one view of the
+        # bytes, so read-only: a loaded bank is frozen
+        n = 4 * d * r
+        floats = np.frombuffer(blob, dtype="<f4", count=n + d * k, offset=off)
+        off += 4 * floats.size
         (stored,) = struct.unpack_from("<Q", blob, off)
         if fnv1a(memoryview(blob)[start:off]) != stored:
             raise ValueError("checksum mismatch")
@@ -942,10 +935,9 @@ def load_bank(path) -> ModuleBank:
             if code >= len(values):
                 raise ValueError(f"unknown {name} code {code}")
             config[name] = values[code]
-        module = LucaModule(d=d, r=r, w_down=mats[0], w_up=mats[1],
-                            v_down=mats[2], v_up=mats[3],
+        module = LucaModule(d, r, *matrix_views(floats[:n], d, r),
                             config=LucaConfig(**config))
-        head = SessionHead(class_ids=class_ids, w=mats[4])
+        head = SessionHead(class_ids=class_ids, w=floats[n:].reshape(d, k))
         bank.append(BankEntry(session_index=session_index, module=module,
                               head=head))
     if off != len(blob):

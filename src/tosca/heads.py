@@ -77,8 +77,6 @@ def extend_head(head: SessionHead, new_class_ids) -> SessionHead:
     new_ids = tuple(int(c) for c in new_class_ids)
     if any(c in head.class_ids for c in new_ids):
         raise ValueError("overlapping classes")
-    if len(set(new_ids)) != len(new_ids):
-        raise ValueError("duplicate class ids")
     merged = tuple(sorted(head.class_ids + new_ids))
     w = np.zeros((head.d, len(merged)), dtype=head.w.dtype)
     col = {c: j for j, c in enumerate(merged)}

@@ -154,10 +154,7 @@ def _adapter_rows(X, wd, wu, cfg: LucaConfig, keep: bool):
     # (out, cache) for out = act_a(X W_down) W_up + X; with ``keep`` the
     # cache is (X, H, S, Sc), Sc being activation's cache for H, else None
     H = X @ wd
-    if keep:
-        S, Sc = activation(cfg.adapter_act, H, return_cache=True)
-    else:
-        S = activation(cfg.adapter_act, H)
+    S, Sc = activation(cfg.adapter_act, H, return_cache=True)
     out = S @ wu
     out += X
     return out, ((X, H, S, Sc) if keep else None)
@@ -167,10 +164,7 @@ def _calibrator_rows(X, vd, vu, cfg: LucaConfig, keep: bool):
     # (out, cache) for out = X * G, G = act_g(X V_down) V_up (+ 1); with
     # ``keep`` the cache is (X, Q, T, G, Tc), Tc being activation's cache for Q
     Q = X @ vd
-    if keep:
-        T, Tc = activation(cfg.gate_act, Q, return_cache=True)
-    else:
-        T = activation(cfg.gate_act, Q)
+    T, Tc = activation(cfg.gate_act, Q, return_cache=True)
     G = T @ vu
     if cfg.gate_residual:
         G += 1.0
@@ -184,8 +178,8 @@ def _adapter_grads(cache, wd, wu, cfg: LucaConfig, dOut, d_wd, d_wu,
                    need_input: bool):
     # (dW_down, dW_up, dX) given _adapter_rows' cache and upstream dOut:
     # dH = flush((dOut W_up^T) * act_a'(H)), dW_down = X^T dH, dW_up = S^T dOut
-    # and dX = dOut + dH W_down^T.  The weight gradients go to d_wd and d_wu
-    # (None allocates); dX is None unless need_input.
+    # and dX = dOut + dH W_down^T.  The weight gradients are written into
+    # d_wd and d_wu; dX is None unless need_input.
     X, H, S, Sc = cache
     dH = dOut @ wu.T
     dH *= activation_grad(cfg.adapter_act, H, Sc)
@@ -256,19 +250,20 @@ def luca_backward_batch(m: LucaModule, cache, U: np.ndarray,
     forward's cache; ``d_input`` keeps one row per sample.  It computes in
     ``float_array(U)``'s dtype, which should be the cache's.
 
-    With ``out``, a vector of 4*d*r entries in that dtype, the four weight
-    gradients are written into it in ``flat_params`` order (the returned
-    ones are its ``matrix_views``) and the input gradient, which training
-    discards, is not computed: ``d_input`` is None.  The weight gradients
-    are the same bits either way.
+    The four weight gradients are written into ``out``, a vector of 4*d*r
+    entries in that dtype, in ``flat_params`` order; the returned ones are
+    its ``matrix_views``.  Given ``out``, as training gives it, the input
+    gradient, which training discards, is not computed: ``d_input`` is
+    None.  Without it the vector is allocated here.
     """
     U = float_array(U)
     wd, wu, vd, vu = _matrices_as(m, U.dtype)
     cfg = m.config
     adapter_cache, calibrator_cache = cache
-    o_wd, o_wu, o_vd, o_vu = ((None,) * 4 if out is None
-                              else matrix_views(out, m.d, m.r))
     need_input = out is None
+    if need_input:
+        out = np.empty(4 * m.d * m.r, dtype=U.dtype)
+    o_wd, o_wu, o_vd, o_vu = matrix_views(out, m.d, m.r)
     if cfg.reversed:  # the adapter's matmuls read U, so flush a copy of it
         d_wdown, d_wup, dC = _adapter_grads(adapter_cache, wd, wu, cfg,
                                             flush_subnormals(U.copy()),
@@ -342,13 +337,8 @@ def gradient_check(trials: int = 20, d_max: int = 16, r_max: int = 4,
                          gate_residual=bool(trial % 2), reversed=bool((trial // 2) % 2))
         d = 2 + gen.below(d_max - 1)
         r = 1 + gen.below(r_max)
-        mats = {
-            "w_down": gen.normals(d * r, std=0.5).reshape(d, r),
-            "w_up": gen.normals(r * d, std=0.5).reshape(r, d),
-            "v_down": gen.normals(d * r, std=0.5).reshape(d, r),
-            "v_up": gen.normals(r * d, std=0.5).reshape(r, d),
-        }
-        m = LucaModule(d=d, r=r, config=cfg, **mats)
+        flat = gen.normals(4 * d * r, std=0.5)
+        m = LucaModule(d, r, *matrix_views(flat, d, r), config=cfg)
         Z, cache = _sample_away_from_kinks(gen, m)
         U = gen.normals(_CHECK_ROWS * d).reshape(_CHECK_ROWS, d)
         worst = max(worst, _module_fd_error(Z, cache, m, U, h))

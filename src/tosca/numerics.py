@@ -114,8 +114,10 @@ def activation_grad(kind: str, x, cache=None) -> np.ndarray:
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax of every row: subtract the row max, exp, divide by the row
-    sum.  Finite logits are the caller's to check."""
+    """Softmax of every row in float64, whatever the logits' dtype: the
+    logits go up to float64, then each row takes off its max, exps and
+    divides by its sum.  Finite logits are the caller's to check."""
+    logits = np.asarray(logits, dtype=np.float64)
     P = logits - logits.max(axis=1, keepdims=True)
     np.exp(P, out=P)
     P /= P.sum(axis=1, keepdims=True)

@@ -120,7 +120,7 @@ def _batch_loss_grads(module, head_w, Z, y_cols, grad, d_head):
     B = Z.shape[0]
     rows = np.arange(B)
     feats, cache = luca_forward_batch(Z, module, return_cache=True)
-    P = softmax_rows((feats @ head_w).astype(np.float64))
+    P = softmax_rows(feats @ head_w)
     ce = float(-np.log(P[rows, y_cols] + 1e-300).sum())
     P[rows, y_cols] -= 1.0  # P minus the one-hot labels, built in place
     P /= B

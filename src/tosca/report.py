@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 from .data import replace_file
 
@@ -29,8 +30,38 @@ def emit_report(report, path, fmt: str = "json") -> None:
 
 
 def load_report(path) -> dict:
+    """Read a JSON report that ``emit_report`` and ``emit_plot`` can take:
+    an object with a numeric ``A_bar`` and a non-empty ``stages`` list, each
+    stage an object with a numeric ``index``, ``A_b`` and
+    ``selection_accuracy``.  Numeric means a finite int or float, not a
+    bool.  Anything else raises ``ValueError`` naming the field."""
     with open(path) as fh:
-        return json.load(fh)
+        rep = json.load(fh)
+    if not isinstance(rep, dict):
+        raise ValueError(f"report {path}: not a JSON object")
+    stages = rep.get("stages")
+    if not isinstance(stages, list) or not stages:
+        raise ValueError(f"report {path}: stages must be a non-empty list")
+    _require_number(path, rep, "A_bar", "A_bar")
+    for i, stage in enumerate(stages):
+        if not isinstance(stage, dict):
+            raise ValueError(f"report {path}: stages[{i}] is not an object")
+        for key in ("index", "A_b", "selection_accuracy"):
+            _require_number(path, stage, key, f"stages[{i}].{key}")
+    return rep
+
+
+def _require_number(path, obj: dict, key: str, name: str) -> None:
+    if key not in obj:
+        raise ValueError(f"report {path}: {name} is missing")
+    value = obj[key]
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float
+        finite = False
+    if not finite:
+        raise ValueError(f"report {path}: {name} must be a finite number, "
+                         f"not {value!r}")
 
 
 def emit_plot(reports, path) -> None:

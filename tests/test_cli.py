@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import tosca.cli
 import tosca.data
 from tosca.cli import main
 from tosca.data import load_features, make_splits, synth_gaussian
@@ -243,6 +244,71 @@ def test_report_errors(bench, tmp_path, capsys):
     rc = main(["report", "--in", str(rep)])
     assert rc == 1
     assert "nothing to do" in capsys.readouterr().err
+
+
+_STAGE = {"index": 1, "A_b": 50.0, "selection_accuracy": 75.0}
+# (the report's text, what the error names)
+_MALFORMED = [
+    ("[1, 2]", "not a JSON object"),
+    ("{}", "stages must be a non-empty list"),
+    ('{"A_bar": 1.0, "stages": []}', "stages must be a non-empty list"),
+    ('{"A_bar": 1.0, "stages": {"index": 1}}', "stages must be"),
+    ('{"stages": [%s]}' % json.dumps(_STAGE), "A_bar is missing"),
+    ('{"A_bar": "high", "stages": [%s]}' % json.dumps(_STAGE), "A_bar must"),
+    ('{"A_bar": true, "stages": [%s]}' % json.dumps(_STAGE), "A_bar must"),
+    ('{"A_bar": NaN, "stages": [%s]}' % json.dumps(_STAGE), "A_bar must"),
+    ('{"A_bar": 1, "stages": [3]}', "stages[0] is not an object"),
+    ('{"A_bar": 1, "stages": [%s, {"A_b": 1, "selection_accuracy": 2}]}'
+     % json.dumps(_STAGE), "stages[1].index is missing"),
+    ('{"A_bar": 1, "stages": [{"index": 1, "A_b": null, '
+     '"selection_accuracy": 2}]}', "stages[0].A_b must"),
+    ('{"A_bar": 1, "stages": [{"index": 1, "A_b": 2, '
+     '"selection_accuracy": 1%s}]}' % ("0" * 400),
+     "stages[0].selection_accuracy must"),
+    ('{"A_bar": 1, "stages": [{"index": 1, "A_b": 2, '
+     '"selection_accuracy": -Infinity}]}', "stages[0].selection_accuracy"),
+]
+
+
+@pytest.mark.parametrize("text, field", _MALFORMED,
+                         ids=[field for _, field in _MALFORMED])
+def test_report_refuses_a_malformed_report_by_name(tmp_path, capsys, text,
+                                                   field):
+    rep = tmp_path / "rep.json"
+    rep.write_text(text)
+    csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    rc = main(["report", "--in", str(rep), "--csv", str(csv),
+               "--plot", str(svg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+    assert not csv.exists() and not svg.exists()
+
+
+_RUN = ["run", "--data", "{bench}.train.ftr", "--inc", "2"]
+_SWEEP = ["sweep", "--data", "{bench}.train.ftr", "--inc", "2",
+          "--lambdas", "0", "--rs", "8"]
+
+
+@pytest.mark.parametrize("argv", [
+    _RUN + ["--out", "{missing}/rep.json"],
+    _RUN + ["--plot", "{missing}/plot.svg"],
+    _RUN + ["--out", "{tmp}"],
+    _SWEEP + ["--out", "{missing}/sweep.csv"],
+])
+def test_run_and_sweep_check_their_targets_before_training(
+        bench, tmp_path, monkeypatch, capsys, argv):
+    # an unwritable --out or --plot fails before any scenario runs
+    calls = []
+    monkeypatch.setattr(tosca.cli, "run_scenario",
+                        lambda *args, **kwargs: calls.append(args))
+    rc = main([a.format(bench=bench, missing=tmp_path / "no" / "dir",
+                        tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1 and calls == []
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert not (tmp_path / "no").exists()
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

@@ -196,6 +196,19 @@ def test_softmax_shift_invariance_and_overflow_safety():
     assert big[:, 0].tolist() == [1.0, 1.0]
 
 
+def test_softmax_of_float32_logits_is_the_float64_softmax():
+    # softmax_rows raises the logits to float64 itself, so a float32 caller
+    # gets the bits of converting first
+    rng = np.random.default_rng(11)
+    z32 = (rng.normal(size=(7, 5)) * [[0.1], [1], [10], [100], [1e3], [1e4],
+                                      [3e4]]).astype(np.float32)
+    kept = z32.copy()
+    p = softmax_rows(z32)
+    assert p.dtype == np.float64
+    assert p.tobytes() == softmax_rows(z32.astype(np.float64)).tobytes()
+    assert z32.tobytes() == kept.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_flush_zeroes_exactly_the_entries_below_tiny(dtype):
     tiny = np.finfo(dtype).tiny
