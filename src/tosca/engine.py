@@ -11,14 +11,8 @@ present and takes the first minimum.  ``route`` runs both on a batch.  A
 banked session never changes, so a scenario scores each session once, on
 every test row that some stage reads, right after fitting it; stage b then
 picks among sessions 1..b on its rows, with no forward.  A session depends
-only on its own rows, so a scenario fits and scores its sessions in up to
-N processes, N the CPUs this process may run on (at most one per stage).
-This process and N - 1 forked workers run one loop: fit and score a first
-session, then claim the next stage number from a shared counter, which has
-no length limit, whenever free, so a process slowed by other load fits
-fewer; this process evaluates every stage in order.  One CPU runs the same
-loop, counting in process, and starts no process.  Reports and banks do
-not depend on N.
+only on its own rows, so a scenario fits and scores its sessions in the
+process pool of ``_session_workers``; reports and banks do not depend on it.
 Baselines share the harness and the fit.  Sequential finetuning grows one
 module and head stage by stage, and joint training fits all classes at once
 (scored once, sliced per stage); both fit through ``_fit_session``, as each
@@ -59,13 +53,12 @@ import fcntl
 import multiprocessing
 import os
 import struct
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from itertools import count
 from multiprocessing.connection import wait
-from queue import SimpleQueue
 from time import perf_counter
 
 import numpy as np
@@ -223,11 +216,9 @@ def train_session(bank: ModuleBank, train: FeatureDataset, class_ids,
     once and passes it as ``init``, which is copied, never trained in
     place.
 
-    A session depends only on its own rows, the config, the seed and the
-    init.  So ``run_scenario`` fits a scenario's sessions through the same
-    fit as this call, in up to N processes at N CPUs and in this process
-    alone at one, and banks weights identical to calling this for each
-    session in turn.
+    ``run_scenario`` fits a scenario's sessions through the same fit, in the
+    process pool of ``_session_workers``, and banks weights identical to
+    calling this for each session in turn.
     """
     ids = _session_ids(train, class_ids, set(bank.class_ids),
                        bank.feature_dim)
@@ -332,12 +323,14 @@ def route(Z, bank: ModuleBank, normalize_entropy: bool = True) -> Routing:
 
     ``score_sessions`` scores, ``pick_sessions`` picks, on the float32
     rows of ``_checked_rows``.  A NaN or inf input row, or one out of
-    float32 range, is refused before any forward pass.
+    float32 range, is refused before any forward pass; a row whose logits
+    overflow raises ``ValueError``, with no numpy warning.
     """
     if not bank.entries:
         raise ValueError("empty bank")
     Z = _checked_rows(Z, bank.feature_dim)
-    probs, entropies, picks = zip(*score_sessions(Z, bank.entries))
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs, entropies, picks = zip(*score_sessions(Z, bank.entries))
     entropies = np.array(entropies)
     classes, sessions = pick_sessions(
         entropies, np.array(picks), [len(e.class_ids) for e in bank.entries],
@@ -503,33 +496,20 @@ def _fits(b, claim, fit, stages: int):
         b = claim()
 
 
-def _send_all(conn, outbox) -> None:
-    """Send each item put in ``outbox`` over ``conn``, until None."""
-    while (item := outbox.get()) is not None:
-        conn.send(item)
-
-
 def _train_share(conn, fits) -> None:
-    """Worker body: send each (stage, result) of ``fits`` over ``conn``.  A
-    thread sends, so the worker trains on while a result waits for the
-    parent to read it."""
-    outbox = SimpleQueue()
-    sender = threading.Thread(target=_send_all, args=(conn, outbox))
-    sender.start()
-    try:
-        for item in fits:
-            outbox.put(item)
-    finally:
-        outbox.put(None)
-        sender.join()
-        conn.close()
+    """Worker body: send each (stage, result) of ``fits`` over ``conn``.  The
+    executor's one thread sends in order while the worker trains on; reading
+    each send's result makes a failed send fail the worker."""
+    with conn, ThreadPoolExecutor(1) as sender:
+        for _ in sender.map(conn.send, fits):  # map submits as fits yields
+            pass
 
 
 @contextmanager
 def _session_workers(fit, stages: int, workers: int):
     """Yields ``trained(b)``, ``fit(b)``'s result, for b in 1 .. ``stages``
     in order, the sessions fitted here and in ``workers - 1`` forked
-    processes.
+    processes; ``run_scenario`` takes ``workers`` from ``_worker_count``.
 
     Every process runs ``_fits``: this process starts on session 1 and
     worker k on session k + 1, and each claims the next stage number
@@ -540,15 +520,16 @@ def _session_workers(fit, stages: int, workers: int):
     more they come from ``_claim`` on an anonymous counter file, which has
     no length limit.  Each child inherits the inputs through ``fork``, so
     nothing is pickled on the way in, and sends its results back over its
-    own pipe.  A failed fit's exception is raised again at its stage.  The
-    parent closes its copy of each pipe's write end, so a child that dies
-    leaves end of file, not a blocked read: a session that no process is
-    left to deliver raises ``RuntimeError``.  No child outlives the block.
+    own pipe through a one-thread ``ThreadPoolExecutor``, so it trains on
+    while a result larger than the pipe waits to be read.  A failed fit's
+    exception is raised again at its stage.  The parent closes its copy of
+    each pipe's write end, so a child that dies leaves end of file, not a
+    blocked read: a session that no process is left to deliver raises
+    ``RuntimeError``.  No child outlives the block.
     """
     ctx = multiprocessing.get_context("fork")
     counter = os.memfd_create("sessions") if workers > 1 else None
-    procs, conns = [], []
-    live = []  # the pipes in conns not yet at end of file
+    procs, live = [], []  # live: the result pipes not yet at end of file
     done: dict = {}
 
     def collect(timeout):
@@ -558,6 +539,7 @@ def _session_workers(fit, stages: int, workers: int):
                 c, result = conn.recv()
             except EOFError:
                 live.remove(conn)
+                conn.close()
             else:
                 done[c] = result
 
@@ -589,7 +571,6 @@ def _session_workers(fit, stages: int, workers: int):
         fits = share(1)
         for k in range(1, workers):
             conn, child_end = ctx.Pipe(duplex=False)
-            conns.append(conn)
             live.append(conn)
             procs.append(ctx.Process(target=_train_share, daemon=True,
                                      args=(child_end, share(k + 1))))
@@ -602,7 +583,7 @@ def _session_workers(fit, stages: int, workers: int):
         for p in procs:
             p.join()
             p.close()  # its sentinel pipe now, not when it is collected
-        for conn in conns:
+        for conn in live:
             conn.close()
         if counter is not None:
             os.close(counter)
@@ -631,17 +612,11 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     stage before's module and head) and ``joint`` (once, on all classes)
     all fit through ``_fit_session``.
 
-    ``tosca`` and ``tosca_r`` train their sessions in up to N processes, N
-    the CPUs in ``os.sched_getaffinity`` and at most the stage count.  This
-    process also refuses a session of one class among several, as
-    ``pick_sessions`` would, draws the shared init, then forks N - 1
-    workers.  It fits and scores session 1 and worker k session k + 1;
-    after that every process claims the next session from a shared counter
-    when it is free, and this process evaluates each stage in order, from
-    the scores.  One CPU runs the same loop in this process and starts
-    none.  The results do not depend on which process trained each
-    session, and a failure reads the same whichever process met it.  A worker that dies raises ``RuntimeError``
-    naming the stage, and no worker outlives the call.
+    ``tosca`` and ``tosca_r`` also refuse a session of one class among
+    several, as ``pick_sessions`` would, then fit and score their sessions
+    in the process pool of ``_session_workers``, where a failure reads the
+    same in any process and a worker that dies raises ``RuntimeError``,
+    here naming the stage.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -691,7 +666,8 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
             module, head = _fit_session(train, session_ids[b - 1], cfg,
                                         stage_seeds[b - 1], init)
             entry = BankEntry(session_index=b, module=module, head=head)
-            _, h, c = next(score_sessions(Z, [entry]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, h, c = next(score_sessions(Z, [entry]))
             return entry, h, c
 
         with _session_workers(fit, B, _worker_count(B)) as trained:

@@ -341,7 +341,7 @@ def gradient_check(trials: int = 20, d_max: int = 16, r_max: int = 4,
         m = LucaModule(d, r, *matrix_views(flat, d, r), config=cfg)
         Z, cache = _sample_away_from_kinks(gen, m)
         U = gen.normals(_CHECK_ROWS * d).reshape(_CHECK_ROWS, d)
-        worst = max(worst, _module_fd_error(Z, cache, m, U, h))
+        worst = max(worst, _module_fd_error(Z, cache, m, flat, U, h))
     return worst
 
 
@@ -361,30 +361,28 @@ def _sample_away_from_kinks(gen, m, margin: float = 1e-6, attempts: int = 200):
     raise RuntimeError("could not sample inputs away from relu kinks")
 
 
-def _module_fd_error(Z, cache, m: LucaModule, U, h: float) -> float:
-    # the weight gradients as training receives them, written into one flat
-    # vector; the input gradient from the call that computes it
-    flat = np.empty(4 * m.d * m.r)
-    luca_backward_batch(m, cache, U, out=flat)
+def _module_fd_error(Z, cache, m: LucaModule, flat, U, h: float) -> float:
+    # m's matrices view ``flat``; the weight gradients as training receives
+    # them, written into one vector laid out as ``flat``, and the input
+    # gradient from the call that computes it
+    grad = np.empty_like(flat)
+    luca_backward_batch(m, cache, U, out=grad)
     d_input = luca_backward_batch(m, cache, U).d_input
 
     def probe() -> float:
         return float(np.sum(U * luca_forward_batch(Z, m)))
 
-    checked = list(zip(m.matrices(), matrix_views(flat, m.d, m.r)))
     worst = 0.0
-    for arr, grad in checked + [(Z, d_input)]:
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + h
+    for x, g in ((flat, grad), (Z.reshape(-1), d_input.reshape(-1))):
+        for i in range(x.size):
+            orig = x[i]
+            x[i] = orig + h
             f_plus = probe()
-            arr[idx] = orig - h
+            x[i] = orig - h
             f_minus = probe()
-            arr[idx] = orig
+            x[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
-            a = float(grad[idx])
+            a = float(g[i])
             denom = max(abs(a), abs(numeric), 1e-6)
             worst = max(worst, abs(a - numeric) / denom)
     return worst

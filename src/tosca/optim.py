@@ -130,6 +130,7 @@ def _batch_loss_grads(module, head_w, Z, y_cols, grad, d_head):
     return ce
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
                  cfg: OptimConfig, rng: Xoshiro256StarStar
                  ) -> tuple[LucaModule, SessionHead, list[float]]:
@@ -140,8 +141,10 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
     optimizer step across the whole run.  The logged loss is mean
     cross-entropy over the epoch's samples plus lambda * l1_norm(module)
     measured at epoch end; a non-finite loss stops training in that epoch
-    with ``FloatingPointError``.  With epochs=0 nothing moves and the trace
-    is empty.  Returns the (mutated) module and head plus the trace.
+    with ``FloatingPointError``, and numpy's overflow and invalid-value
+    warnings on the way there are silenced.  With epochs=0 nothing moves
+    and the trace is empty.  Returns the (mutated) module and head plus the
+    trace.
     The four matrices and the head must be float32: training computes in
     float32, so any other dtype raises ``ValueError``.
     """

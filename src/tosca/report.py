@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import html
 import json
-import math
 
 from .data import replace_file
 
@@ -31,10 +31,10 @@ def emit_report(report, path, fmt: str = "json") -> None:
 
 def load_report(path) -> dict:
     """Read a JSON report that ``emit_report`` and ``emit_plot`` can take:
-    an object with a numeric ``A_bar`` and a non-empty ``stages`` list, each
-    stage an object with a numeric ``index``, ``A_b`` and
-    ``selection_accuracy``.  Numeric means a finite int or float, not a
-    bool.  Anything else raises ``ValueError`` naming the field."""
+    an object with an ``A_bar`` and a non-empty ``stages`` list, stage i
+    (from 1) an object with the int ``index`` i, an ``A_b`` and a
+    ``selection_accuracy``.  Each accuracy is an int or float, not a bool,
+    in [0, 100].  Anything else raises ``ValueError`` naming the field."""
     with open(path) as fh:
         rep = json.load(fh)
     if not isinstance(rep, dict):
@@ -42,26 +42,34 @@ def load_report(path) -> dict:
     stages = rep.get("stages")
     if not isinstance(stages, list) or not stages:
         raise ValueError(f"report {path}: stages must be a non-empty list")
-    _require_number(path, rep, "A_bar", "A_bar")
+    _require_percent(path, rep, "A_bar", "A_bar")
     for i, stage in enumerate(stages):
         if not isinstance(stage, dict):
             raise ValueError(f"report {path}: stages[{i}] is not an object")
-        for key in ("index", "A_b", "selection_accuracy"):
-            _require_number(path, stage, key, f"stages[{i}].{key}")
+        index = _required(path, stage, "index", f"stages[{i}].index")
+        if type(index) is not int or index != i + 1:
+            raise ValueError(f"report {path}: stages[{i}].index must be "
+                             f"{i + 1}, not {index!r}")
+        for key in ("A_b", "selection_accuracy"):
+            _require_percent(path, stage, key, f"stages[{i}].{key}")
     return rep
 
 
-def _require_number(path, obj: dict, key: str, name: str) -> None:
+def _required(path, obj: dict, key: str, name: str):
     if key not in obj:
         raise ValueError(f"report {path}: {name} is missing")
-    value = obj[key]
-    try:
-        finite = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number, or an int past float
-        finite = False
-    if not finite:
-        raise ValueError(f"report {path}: {name} must be a finite number, "
-                         f"not {value!r}")
+    return obj[key]
+
+
+def _require_percent(path, obj: dict, key: str, name: str) -> None:
+    value = _required(path, obj, key, name)
+    try:  # NaN compares false; an int past float range compares exactly
+        percent = not isinstance(value, bool) and 0.0 <= value <= 100.0
+    except TypeError:  # not a number
+        percent = False
+    if not percent:
+        raise ValueError(f"report {path}: {name} must be a number in "
+                         f"[0, 100], not {value!r}")
 
 
 def emit_plot(reports, path) -> None:
@@ -124,7 +132,7 @@ def emit_plot(reports, path) -> None:
                          f'cy="{y_px(s["A_b"]):.1f}" r="3" fill="{color}"/>')
         ly = top + 10 + 18 * i
         lx = left + plot_w + 14
-        label = rep.get("method", f"run {i + 1}")
+        label = html.escape(str(rep.get("method", f"run {i + 1}")))
         parts.append(f'<rect x="{lx}" y="{ly - 8}" width="12" height="12" '
                      f'fill="{color}"/>')
         parts.append(f'<text x="{lx + 18}" y="{ly + 2}" font-size="12">'

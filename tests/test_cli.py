@@ -1,8 +1,15 @@
-"""End-to-end command line tests, run in process through ``main(argv)``."""
+"""End-to-end command line tests, run in process through ``main(argv)``,
+or in a fresh interpreter where the exact text on stderr is checked."""
 
+import copy
 import json
+import math
+import os
+import subprocess
+import sys
+import xml.dom.minidom
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tosca.cli
@@ -267,6 +274,19 @@ _MALFORMED = [
      "stages[0].selection_accuracy must"),
     ('{"A_bar": 1, "stages": [{"index": 1, "A_b": 2, '
      '"selection_accuracy": -Infinity}]}', "stages[0].selection_accuracy"),
+    # numbers that the CSV would print and the plot would draw off its axes
+    ('{"A_bar": 100.5, "stages": [%s]}' % json.dumps(_STAGE), "A_bar must"),
+    ('{"A_bar": 1, "stages": [{"index": 1, "A_b": 250, '
+     '"selection_accuracy": 2}]}', "stages[0].A_b must"),
+    ('{"A_bar": 1, "stages": [{"index": 1, "A_b": 2, '
+     '"selection_accuracy": -3}]}', "stages[0].selection_accuracy must"),
+    ('{"A_bar": 1, "stages": [{"index": 7, "A_b": 2, '
+     '"selection_accuracy": 3}]}', "stages[0].index must be 1, not 7"),
+    ('{"A_bar": 1, "stages": [{"index": 1.0, "A_b": 2, '
+     '"selection_accuracy": 3}]}', "stages[0].index must be 1, not 1.0"),
+    ('{"A_bar": 1, "stages": [%s, %s]}' % (json.dumps(_STAGE),
+                                          json.dumps(_STAGE)),
+     "stages[1].index must be 2, not 1"),
 ]
 
 
@@ -284,6 +304,75 @@ def test_report_refuses_a_malformed_report_by_name(tmp_path, capsys, text,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
     assert not csv.exists() and not svg.exists()
+
+
+_DROP = object()
+
+
+def _paths(node, path=()):
+    """(path, value) for every value inside a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,), child
+        yield from _paths(child, path + (key,))
+
+
+def _mutants(report):
+    """(path, mutant) for each copy of ``report`` that drops one key, gives
+    one value another type, or makes one number NaN, inf, -inf or 101."""
+    for path, node in _paths(report):
+        values = [None, True, "<b> & c", [1], {"a": 1}]
+        if isinstance(path[-1], str):
+            values.append(_DROP)
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            values += [math.nan, math.inf, -math.inf, 101]
+        else:
+            values.append(50)
+        for value in values:
+            mutant = copy.deepcopy(report)
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield path, mutant
+
+
+def test_every_mutant_of_a_real_report_loads_or_fails_by_name(
+        bench, tmp_path, capsys):
+    # a mutant either loads, and then its CSV and plot stay on the axes,
+    # or it exits 1 with one error line and writes no file
+    good = tmp_path / "good.json"
+    assert main(_run_args(bench, ["--out", str(good)])) == 0
+    report = json.loads(good.read_text())
+    rep, csv, svg = (tmp_path / name for name in ("m.json", "m.csv", "m.svg"))
+    outcomes = []
+    for path, mutant in _mutants(report):
+        rep.write_text(json.dumps(mutant))
+        capsys.readouterr()
+        rc = main(["report", "--in", str(rep), "--csv", str(csv),
+                   "--plot", str(svg)])
+        err = capsys.readouterr().err
+        outcomes.append(rc)
+        if rc == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, path
+            assert not csv.exists() and not svg.exists(), path
+            continue
+        assert rc == 0 and err == "", path
+        rows = [line.split(",") for line in csv.read_text().split()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+        assert all(0.0 <= float(x) <= 100.0 for r in rows for x in r[1:])
+        plot = xml.dom.minidom.parse(str(svg))
+        axis = plot.getElementsByTagName("line")[0]  # the y axis
+        low, high = (float(axis.getAttribute(a)) for a in ("y1", "y2"))
+        for dot in plot.getElementsByTagName("circle"):
+            assert low <= float(dot.getAttribute("cy")) <= high, path
+        csv.unlink()
+        svg.unlink()
+    assert 0 in outcomes and 1 in outcomes
 
 
 _RUN = ["run", "--data", "{bench}.train.ftr", "--inc", "2"]
@@ -318,11 +407,24 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
 
 
 def test_diverging_run_exits_1(bench, capsys):
-    with np.errstate(all="ignore"):
-        rc = main(_run_args(bench, ["--method", "tosca", "--lr", "1e5"]))
+    rc = main(_run_args(bench, ["--method", "tosca", "--lr", "1e5"]))
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "error: tosca stage 1: training diverged in epoch ")
+
+
+@pytest.mark.parametrize("lr,stderr", [
+    ("1e5", "error: tosca stage 1: training diverged in epoch 3\n"),
+    ("100", "error: non-finite logits\n"),  # training ends finite
+])
+def test_a_failing_run_prints_one_error_line(bench, lr, stderr):
+    # a fresh interpreter, with numpy's warnings at their defaults
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(tosca.cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-m", "tosca.cli",
+                          *_run_args(bench, ["--lr", lr])], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (1, stderr)
 
 
 def test_bad_split_exits_1(bench, capsys):

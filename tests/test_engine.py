@@ -491,9 +491,8 @@ def test_non_finite_rows_fail_on_every_routing_entry_point():
     summing.append(_entry(1, d, (0, 1), w=np.ones((d, 2), dtype=np.float32)))
     big = np.array([3e38, 3e38, 0.0, 0.0])
     assert np.isfinite(big.astype(np.float32)).all()
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="non-finite logits"):
-            predict(big, summing)
+    with pytest.raises(ValueError, match="non-finite logits"):
+        predict(big, summing)  # with no numpy warning on the way
 
 
 def test_evaluate_stage_refuses_scores_of_another_shape():
@@ -541,8 +540,7 @@ def test_divergence_names_the_method_stage_and_epoch():
     splits = make_splits(train.class_ids, 0, 5, 31)
     with pytest.raises(FloatingPointError,
                        match=r"^finetune stage 6: training diverged in epoch 1$"):
-        with np.errstate(all="ignore"):
-            run_scenario(train, test, splits, "finetune", ScenarioConfig(), 31)
+        run_scenario(train, test, splits, "finetune", ScenarioConfig(), 31)
 
 
 class _ClassMajor:
@@ -569,8 +567,7 @@ def test_class_major_batches_diverge_in_epoch_2():
 
     with pytest.raises(FloatingPointError,
                        match=r"^training diverged in epoch 2$"):
-        with np.errstate(all="ignore"):
-            train_epochs(*fresh(), ds, cfg.optim, _ClassMajor())
+        train_epochs(*fresh(), ds, cfg.optim, _ClassMajor())
     # the same session with its seeded shuffle trains
     shuffle_seed = derive_seeds(seeds[0], 2)[1]
     _, _, trace = train_epochs(*fresh(), ds, cfg.optim,

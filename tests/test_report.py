@@ -1,6 +1,7 @@
 """JSON/CSV emission and the standalone SVG plot."""
 
 import json
+import xml.dom.minidom
 
 import pytest
 
@@ -72,6 +73,13 @@ def test_plot_structure(tmp_path):
     assert svg.count("<circle") == 6  # 3 stages x 2 runs
     assert "tosca" in svg and "joint" in svg
     assert "accuracy (%)" in svg
+
+
+def test_plot_escapes_the_legend_label(tmp_path):
+    p = tmp_path / "p.svg"
+    emit_plot([_report("a<b & c")], p)
+    texts = xml.dom.minidom.parse(str(p)).getElementsByTagName("text")
+    assert "a<b & c" in [t.firstChild.data for t in texts]
 
 
 def test_plot_single_stage(tmp_path):

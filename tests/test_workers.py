@@ -130,9 +130,8 @@ def test_divergence_reads_the_same_in_any_process(stages, lr, message,
     cfg = replace(_FAST, optim=replace(_FAST.optim, lr_max=lr))
     cpus(workers)
     with pytest.raises(FloatingPointError, match=f"^{message}$"):
-        with np.errstate(all="ignore"):
-            run_scenario(train, test, SplitPlan(stages=stages, seed=0),
-                         "tosca", cfg, 11)
+        run_scenario(train, test, SplitPlan(stages=stages, seed=0), "tosca",
+                     cfg, 11)
 
 
 def _dying_fit(monkeypatch, die):
@@ -369,6 +368,26 @@ def test_a_queue_longer_than_its_pipe_hands_out_every_session_once(tmp_path):
     assert sorted(int(b) for b in log.read_text().split()) == list(
         range(1, n + 1))
     assert len({g[1] for g in got}) == 4
+
+
+def test_a_result_larger_than_its_pipe_does_not_hold_up_its_worker():
+    # the worker's session 2 result fills its pipe while this process is
+    # still fitting session 1, which waits until the worker starts session 3
+    parent = os.getpid()
+    third = multiprocessing.get_context("fork").Event()
+
+    def fit(b):
+        if os.getpid() != parent:
+            if b == 3:
+                third.set()
+        elif b == 1 and not third.wait(10):
+            raise TimeoutError("the worker was held up sending session 2")
+        return b, bytes(1 << 20) if b == 2 else b""
+
+    with engine._session_workers(fit, 4, 2) as trained:
+        got = [trained(b) for b in range(1, 5)]
+    assert [b for b, _ in got] == [1, 2, 3, 4]
+    assert len(got[1][1]) == 1 << 20
 
 
 def test_a_process_killed_while_claiming_blocks_no_one():
