@@ -270,25 +270,38 @@ def score_sessions(Z: np.ndarray, entries):
     """Score rows under each entry's session on its own, in the rows' dtype
     up to the (n, K) logits, which the softmax and entropy take as float64.
 
-    Yields, per entry in order, the (n, K) softmax rows, the (n,) raw
-    entropies in nats and the (n,) argmax class ids (ties to the lowest
-    id).  A session's scores depend only on that session and ``Z``.  As a
-    generator, each session's temporaries stay bound through the next
-    session's forward, though freeing them earlier makes no measurable
-    difference: serving a loaded d=768 bank in the route-d768 benchmark
-    took about 0.05 minor page faults per 32-row ``predict_batch`` either
-    way.
+    Returns the per-entry (n, K) softmax rows (a list), the (S, n) raw
+    entropies in nats and the (S, n) argmax class ids (ties to the lowest
+    id).  A session's scores depend only on that session and ``Z``: each
+    entry runs its own forward, then the non-finite check, the softmax, the
+    entropy and the argmax run once over each group of entries with the
+    same K, stacked as (S_K, n, K), in place.  Each of these reduces or
+    maps along the last axis alone, so a session's bits are those of
+    scoring it on its own.
     """
-    for e in entries:
-        feats = luca_forward_batch(Z, e.module)
-        logits = head_forward_batch(feats, e.head)
-        if not np.isfinite(logits).all():
+    logits = [head_forward_batch(luca_forward_batch(Z, e.module), e.head)
+              for e in entries]
+    probs = [None] * len(entries)
+    entropies = np.empty((len(entries), Z.shape[0]))
+    picks = np.empty((len(entries), Z.shape[0]), dtype=np.int64)
+    for K in dict.fromkeys(L.shape[1] for L in logits):
+        group = [s for s, L in enumerate(logits) if L.shape[1] == K]
+        P = np.empty((len(group), Z.shape[0], K))
+        for i, s in enumerate(group):
+            P[i] = logits[s]
+        if not np.isfinite(P).all():
             raise ValueError("non-finite logits")
-        P = softmax_rows(logits)
-        logP = np.log(np.where(P > 0.0, P, 1.0))
-        h = 0.0 - (P * logP).sum(axis=1)  # a one-hot row gives 0.0, not -0.0
-        ids = np.asarray(e.class_ids, dtype=np.int64)
-        yield P, h, ids[np.argmax(P, axis=1)]
+        softmax_rows(P, out=P)
+        logP = np.where(P > 0.0, P, 1.0)
+        np.log(logP, out=logP)
+        logP *= P
+        h = logP.sum(axis=-1)
+        np.subtract(0.0, h, out=h)  # a one-hot row gives 0.0, not -0.0
+        entropies[group] = h
+        for j, (s, best) in enumerate(zip(group, np.argmax(P, axis=-1))):
+            probs[s] = P[j]
+            picks[s] = np.asarray(entries[s].class_ids, dtype=np.int64)[best]
+    return probs, entropies, picks
 
 
 def _refuse_one_class(counts) -> None:
@@ -330,12 +343,11 @@ def route(Z, bank: ModuleBank, normalize_entropy: bool = True) -> Routing:
         raise ValueError("empty bank")
     Z = _checked_rows(Z, bank.feature_dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        probs, entropies, picks = zip(*score_sessions(Z, bank.entries))
-    entropies = np.array(entropies)
+        probs, entropies, picks = score_sessions(Z, bank.entries)
     classes, sessions = pick_sessions(
-        entropies, np.array(picks), [len(e.class_ids) for e in bank.entries],
+        entropies, picks, [len(e.class_ids) for e in bank.entries],
         normalize_entropy)
-    return Routing(probs=list(probs), entropies=entropies, sessions=sessions,
+    return Routing(probs=probs, entropies=entropies, sessions=sessions,
                    classes=classes)
 
 
@@ -445,11 +457,11 @@ class ScenarioReport:
 
 @contextmanager
 def _naming_stage(method: str, stage: str):
-    """Re-raise a training divergence or a lost training worker with the
-    method and the stage."""
+    """Re-raise a training divergence, a scoring failure or a lost training
+    worker with the method and the stage."""
     try:
         yield
-    except (FloatingPointError, RuntimeError) as exc:
+    except (FloatingPointError, RuntimeError, ValueError) as exc:
         raise type(exc)(f"{method} {stage}: {exc}") from exc
 
 
@@ -667,8 +679,8 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
                                         stage_seeds[b - 1], init)
             entry = BankEntry(session_index=b, module=module, head=head)
             with np.errstate(over="ignore", invalid="ignore"):
-                _, h, c = next(score_sessions(Z, [entry]))
-            return entry, h, c
+                _, h, c = score_sessions(Z, [entry])
+            return entry, h[0], c[0]
 
         with _session_workers(fit, B, _worker_count(B)) as trained:
             for b, ids in enumerate(session_ids, start=1):

@@ -1,15 +1,35 @@
 """Array numerics shared by every other module: the activations, their
-derivatives, and the row softmax.
+derivatives, and the softmax.
 
 Parameters and features live in float32.  A kernel computes in the dtype
 ``float_array`` gives its input: float32 for training's and serving's
-rows, float64 for ``luca.gradient_check``'s.  The constants are Python floats,
-which do not promote a float32 array as an ``np.float64`` would (NEP 50).
+rows, float64 for ``luca.gradient_check``'s.  Each activation is one kernel
+for both dtypes, built from numpy ufuncs alone.  Its constants are 0-d
+float32 arrays (erf's are float64, the dtype it computes in): an in-place
+op with one costs about 1.0 us on a 1 x 48 array, against 1.6-1.9 us with
+a Python float, and a 0-d array of the lower dtype does not promote a
+float64 input, which keeps its precision.
 Every forward and backward pass uses numpy matmul.  ``vecmat`` fixes the
 exact accumulation order (ascending index); no pass in the package calls
 it.  It is kept for the benchmark tracer's ``numerics.vecmat`` seam and
 for the per-sample reference forwards and backward in the tests, which the
 batched passes are held to.
+
+``erf`` is the odd rational form x * P(x^2) / Q(x^2) on x clamped to
+[-c, c], P of degree 6 and Q monic of degree 5: the form Eigen and XLA use
+for float32 erf, with coefficients that ``tools/erf_fit.py`` derives here
+by a reweighted least-squares fit to ``math.erf`` (relative error 2.3e-9).
+It computes in float64 whatever its input, from ``+``, ``*``, ``/``,
+``minimum`` and ``maximum`` alone, so its bits do not depend on the CPU's
+vector extensions, and rounds once to the input's dtype: a float32 result
+is within 0.54 ulp of ``math.erf`` on [-6, 6], and Phi = 0.5 * erf(x /
+sqrt 2) + 0.5 within 6.0e-8 of its float64 value.  The rational rises to
+1 - 2**-26 at c = 4.02, so float32 erf is exactly +-1 from c on and
+float32 Phi exactly 0 below -5.54 and 1 above 5.34: the tails are flat,
+and no gelu output is subnormal.  The sigmoid is 0.5 * tanh(x / 2) + 0.5,
+within 6.0e-8 of the float64 logistic, exactly 0 below -20 and 1 above
+17.32, and never subnormal either.  Only ``exp`` and ``tanh`` tie an
+activation's float32 bits to numpy's dispatch level.
 
 ``activation(kind, x, return_cache=True)`` also returns the one value the
 derivative shares with the forward: Phi(x) for gelu, sigma(x) for the
@@ -31,12 +51,29 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 ACTIVATIONS = ("relu", "gelu", "sigmoid")
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+def _f32(v: float) -> np.ndarray:
+    return np.asarray(v, dtype=np.float32)
+
+
+_ZERO, _HALF, _ONE, _NEG_HALF = _f32(0.0), _f32(0.5), _f32(1.0), _f32(-0.5)
+_INV_SQRT2 = _f32(1.0 / math.sqrt(2.0))
+_INV_SQRT_2PI = _f32(1.0 / math.sqrt(2.0 * math.pi))
+
+# erf's clamp and coefficients (highest degree first; Q is monic), from
+# ``python3 tools/erf_fit.py``; float64, the dtype erf computes in
+_ERF_CLAMP = np.asarray(4.0226259455222975)
+_ERF_FLOOR = -_ERF_CLAMP
+_ERF_P = tuple(map(np.asarray, (
+    -0.0002139919872146934, 0.07467585446033284, 5.985708500857292,
+    60.30053435267116, 849.6957370341902, 2892.8369929692813,
+    17624.507416811724)))
+_ERF_Q = tuple(map(np.asarray, (
+    20.534467689389587, 242.04776341884346, 1781.132374728206,
+    7770.149135674612, 15619.312983993186)))
 
 
 def float_array(x) -> np.ndarray:
@@ -46,23 +83,43 @@ def float_array(x) -> np.ndarray:
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
+def erf(x, out=None) -> np.ndarray:
+    """The error function, computed in float64 and rounded once into
+    ``out``, which may be ``x`` itself, or else into a new array of
+    ``float_array(x)``'s dtype."""
+    x = float_array(x)
+    y = x.astype(np.float64)  # a copy, even of float64
+    np.minimum(y, _ERF_CLAMP, out=y)
+    np.maximum(y, _ERF_FLOOR, out=y)
+    t = np.multiply(y, y, out=np.empty_like(y))
+    pq = np.multiply(t, _ERF_P[0], out=np.empty_like(y))
+    for a in _ERF_P[1:-1]:
+        pq += a
+        pq *= t
+    pq += _ERF_P[-1]
+    y *= pq
+    np.add(t, _ERF_Q[0], out=pq)
+    for b in _ERF_Q[1:]:
+        pq *= t
+        pq += b
+    return np.divide(y, pq, out=np.empty_like(x) if out is None else out)
+
+
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; one division serves both signs of x
-    e = np.abs(x, out=np.empty_like(x))
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    out /= e
-    return out
+    # 0.5 tanh(x / 2) + 0.5: tanh saturates at -1, so no output is subnormal
+    s = np.multiply(x, _HALF, out=np.empty_like(x))
+    np.tanh(s, out=s)
+    s *= _HALF
+    s += _HALF
+    return s
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     # Phi(x), the standard normal CDF
-    cdf = np.divide(x, _SQRT2, out=np.empty_like(x))
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
     erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
+    cdf *= _HALF
+    cdf += _HALF
     return cdf
 
 
@@ -75,7 +132,7 @@ def activation(kind: str, x, return_cache: bool = False):
     """
     x = float_array(x)
     if kind == "relu":
-        out, cache = np.maximum(x, 0.0), None
+        out, cache = np.maximum(x, _ZERO), None
     elif kind == "gelu":
         cache = _gelu_cdf(x)
         out = x * cache
@@ -98,7 +155,7 @@ def activation_grad(kind: str, x, cache=None) -> np.ndarray:
         return (x > 0).astype(x.dtype)
     if kind == "gelu":
         cdf = _gelu_cdf(x) if cache is None else cache
-        grad = np.multiply(-0.5, x, out=np.empty_like(x))
+        grad = np.multiply(_NEG_HALF, x, out=np.empty_like(x))
         grad *= x
         np.exp(grad, out=grad)
         grad *= _INV_SQRT_2PI  # the pdf
@@ -107,20 +164,22 @@ def activation_grad(kind: str, x, cache=None) -> np.ndarray:
         return grad
     if kind == "sigmoid":
         s = _stable_sigmoid(x) if cache is None else cache
-        grad = np.subtract(1.0, s, out=np.empty_like(s))
+        grad = np.subtract(_ONE, s, out=np.empty_like(s))
         grad *= s
         return grad
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax of every row in float64, whatever the logits' dtype: the
-    logits go up to float64, then each row takes off its max, exps and
-    divides by its sum.  Finite logits are the caller's to check."""
+def softmax_rows(logits: np.ndarray, out=None) -> np.ndarray:
+    """Softmax along the last axis in float64, whatever the logits' dtype:
+    the logits go up to float64, then each row takes off its max, exps and
+    divides by its sum.  ``out``, a float64 array of the logits' shape,
+    may be the logits themselves.  Finite logits are the caller's to
+    check."""
     logits = np.asarray(logits, dtype=np.float64)
-    P = logits - logits.max(axis=1, keepdims=True)
+    P = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(P, out=P)
-    P /= P.sum(axis=1, keepdims=True)
+    P /= P.sum(axis=-1, keepdims=True)
     return P
 
 

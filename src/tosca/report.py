@@ -34,11 +34,15 @@ def load_report(path) -> dict:
     an object with an ``A_bar`` and a non-empty ``stages`` list, stage i
     (from 1) an object with the int ``index`` i, an ``A_b`` and a
     ``selection_accuracy``.  Each accuracy is an int or float, not a bool,
-    in [0, 100].  Anything else raises ``ValueError`` naming the field."""
+    in [0, 100].  A ``method``, the plot's legend label, is a string if
+    present.  Anything else raises ``ValueError`` naming the field."""
     with open(path) as fh:
         rep = json.load(fh)
     if not isinstance(rep, dict):
         raise ValueError(f"report {path}: not a JSON object")
+    if not isinstance(rep.get("method", ""), str):
+        raise ValueError(f"report {path}: method must be a string, not "
+                         f"{rep['method']!r}")
     stages = rep.get("stages")
     if not isinstance(stages, list) or not stages:
         raise ValueError(f"report {path}: stages must be a non-empty list")

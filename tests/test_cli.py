@@ -287,6 +287,12 @@ _MALFORMED = [
     ('{"A_bar": 1, "stages": [%s, %s]}' % (json.dumps(_STAGE),
                                           json.dumps(_STAGE)),
      "stages[1].index must be 2, not 1"),
+    # the plot's legend would show the repr of anything but a string
+    *(('{"method": %s, "A_bar": 1, "stages": [%s]}'
+       % (method, json.dumps(_STAGE)), f"method must be a string, not {want}")
+      for method, want in (('["tosca"]', "['tosca']"),
+                           ('{"a": 1}', "{'a': 1}"), ("7", "7"),
+                           ("null", "None"), ("true", "True"))),
 ]
 
 
@@ -357,6 +363,8 @@ def test_every_mutant_of_a_real_report_loads_or_fails_by_name(
                    "--plot", str(svg)])
         err = capsys.readouterr().err
         outcomes.append(rc)
+        if not isinstance(mutant.get("method", ""), str):
+            assert rc == 1 and "method must be a string" in err, path
         if rc == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, path
             assert not csv.exists() and not svg.exists(), path
@@ -415,7 +423,7 @@ def test_diverging_run_exits_1(bench, capsys):
 
 @pytest.mark.parametrize("lr,stderr", [
     ("1e5", "error: tosca stage 1: training diverged in epoch 3\n"),
-    ("100", "error: non-finite logits\n"),  # training ends finite
+    ("100", "error: tosca stage 1: non-finite logits\n"),  # training ends finite
 ])
 def test_a_failing_run_prints_one_error_line(bench, lr, stderr):
     # a fresh interpreter, with numpy's warnings at their defaults

@@ -22,10 +22,11 @@ On each case's ``tosca`` bank, routing, which computes in float32, must
 pick the session and class that a float64 reference picks on every test
 row, and single-row ``predict`` what 32-row ``predict_batch`` picks.
 
-The digests were pinned on Python 3.11.7, numpy 2.4.6, scipy 1.17.1 and
-scipy-openblas 0.3.31.188.0 (x86-64).  They depend on that OpenBLAS and
-libm, so on another stack a mismatch means "bits differ from the pinned
-host", not necessarily a fault.
+The digests were pinned on Python 3.11.7, numpy 2.4.6 and the
+scipy-openblas 0.3.31.188.0 that numpy bundles (x86-64, SkylakeX kernel),
+with no scipy in the stack.  They depend on that OpenBLAS and on numpy's
+float32 ``exp`` and ``tanh`` loops, so on another stack a mismatch means
+"bits differ from the pinned host", not necessarily a fault.
 
     python tests/test_golden.py [case ...]
 
@@ -69,27 +70,27 @@ GOLDEN = {
         "tosca.report":
             "9a20a2359e3dad9f038df7025c0e3c9b0ebfa0ef392dd733636ec34d5f83ea5f",
         "tosca.bank":
-            "35a54e9814bb0ffea64f55ed1fc64169d768682905bd3fa8ee1ea02e017a05a1",
+            "8749eba3c04134f95635bb81b9e4956e916f9d6ae07d27879065c0f72eadbdaa",
         "tosca.weights":
-            "45a483a0f479afe528e8f711f96fd4dab9218ad1164201005ad201df59b3b4a8",
+            "950f29ed6779afc84e8d696f97f938294f1246f90533c11eb18cd0b1fd9bb20c",
         "tosca_r.report":
             "083f2c168ae738b5b65e83a3e9a876e27720d3097eb0243042c4e96805d33d26",
         "tosca_r.bank":
-            "daf115746faaff42bd6af90d03430868259811ec6c57ebac93f2e92a3d2c6cfc",
+            "586e95a178927a61c76ad182aac84a2f71f11bb34e35b0cd2799ee4b63990521",
         "tosca_r.weights":
-            "d821c4422d644e364b662ca10ca08a585afaae231842cb07ab7751b1c07e2b88",
+            "11574b31a5e93e1291486dda48f439a88a68cbac82e7e79db0d817ba96b81dfd",
         "finetune.report":
             "2186318cefb85aa749a02862b801779b3bcfdc989a1f0a281ceb95c4f1ce453f",
         "finetune.model":
-            "112167db89e58276dd9ed8bf409d184ccc8edae1913d449d022adca1f5143b65",
+            "dd05403f02c45f15391b2201a9dcd51b75092105a257ba39c465896757cfd18b",
         "finetune.weights":
-            "1e8d48ebf043346e101f7fb158699625b5bb1421ad17bce66cdbe4efa6341544",
+            "df69efbd40116edbd4a4c233586ccb6de2282a315f399ad4ec934889512ec8da",
         "joint.report":
             "cd888fccf32419e86a9ceeafbdc243586d27e13ec9d4bbcbf9f7aa94fde1bc19",
         "joint.model":
-            "4a1080d4ee69802f2b7b934f0a99158d9688e02bc11c81e25fb42d3be215ebfc",
+            "8a116a28778bc6ed89045c77b1c73b78927bb019caf0e9cbb833c4513f322b43",
         "joint.weights":
-            "c7df369d029f17e42b482eb3611a2be909f889924b23e39171a3e597eb1dda30",
+            "172f9f47ea192ac12bf00d45030317c9f99326a206986714515e013ecc0df0cb",
         "simplecil.report":
             "3a5f3e7a97b0524eecf93559427d26e5cbb019627b8115d3068ceb3e4e078ead",
     },
@@ -97,27 +98,27 @@ GOLDEN = {
         "tosca.report":
             "353846bab6e6341c1204c03a7683b7a6fa75e68002321c60ab0fdee0da425a96",
         "tosca.bank":
-            "81096a47b6ddd111eff9aeca49fa9d14e567242c0fa929fd77096595e699b581",
+            "8d5d6b3d4d56327553100b1f5740e3a3da0931bfc6e9a25aeb2aea61ed687225",
         "tosca.weights":
-            "a8d03272570a6b5b043fdd1967e7ae233ab4e36b9b7a8fb525acc34af6395822",
+            "490b16f0d2cad42e1cd875a8b29774b8b3a22f40fc22c68476332e4f018e7556",
         "tosca_r.report":
             "20c0d2d5f11e4cc462680bf4aeecd7446a18614eb6536b51b7db8e6a24ba5d6e",
         "tosca_r.bank":
-            "2a6bab006b190993798a8b04bf4456ca882efc0df418117e65a465a6ccc3dd86",
+            "ce55cbb0e659621472b71c6eabd2834d1078bdb302de89cde834405c6d29a5e9",
         "tosca_r.weights":
-            "344a5958b1729a7a1355100e1167aa9b32a4fb049157c628ff2df721d1ca2462",
+            "657f14fd2445f576ebaf9abca5765ed7a92bc2089b8f7cc0d08714bee316014a",
         "finetune.report":
             "8b54fbc044f479553d1523201ca440e90b52d7a6a07b7f1f149644db8285d673",
         "finetune.model":
-            "63db123ce023811700d3a972136861a9c26df293f6a4849f9c21386e7b1a96e5",
+            "626ae6dbd84ceab060784ef065eb4ce3e20f5d95ecdd743cd8c84107979a6ed3",
         "finetune.weights":
-            "b11a5aa00494f72bbbd4dab1172766fb3c0cf6538bac3a5324afb6262b9649e0",
+            "6220520022e5e7f51e1ff08b2388f02fc918902d8cba2b6a7599f32c8880fe1c",
         "joint.report":
             "86bfcdfc702663f72719ff266e7be9d0b7e486832317ed935dbe14b3a02c7a94",
         "joint.model":
-            "195438a63d48b1215a4f77ed037d358b78b2787f03512d4da5ad9e19c6cbf6fe",
+            "1cdb1b405e15c0bc063f601e64fec6852ebf1b64a840b69edb41d8e2949a1a78",
         "joint.weights":
-            "0b64d69dcb8362ad5cd737b912b0aa6b91d076f02f1621c0bd531dad502ff2c6",
+            "310289d656cdbfef88e60361553e29b24849e51fe03273522999e6c93602b3d2",
         "simplecil.report":
             "1ea315aec0340d1b6403cfb5cd1723ce0ce3c53e013227c06dfe8e81baa1678b",
     },

@@ -1,11 +1,15 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name is used somewhere in the package.
+"""Every name a module of the package imports is used in that module,
+every private module-level name is used somewhere in the package, and the
+package runs on numpy alone: importing it loads no scipy.
 
 Written with the standard library's ``ast``, so it needs no linter.
 ``__init__`` is skipped by the import check: it imports to re-export.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tosca
@@ -92,3 +96,14 @@ def test_every_private_name_is_referenced():
     sources = [path.read_text()
                for path in sorted(Path(tosca.__file__).parent.glob("*.py"))]
     assert _unreferenced(sources) == set()
+
+
+def test_importing_tosca_loads_no_scipy():
+    # a fresh interpreter, so no other test's import can hide one
+    code = ("import sys, tosca, tosca.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(tosca.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

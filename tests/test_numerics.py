@@ -1,19 +1,27 @@
-"""Activation, row softmax, reference entropy, and exact-order linear
+"""Activation, erf, softmax, reference entropy, and exact-order linear
 algebra tests.
 
 Closed-form values below were frozen from a 40-digit mpmath evaluation of the
 defining formulas (erf-based gelu, logistic sigmoid, Shannon entropy in nats).
+The float32 kernels are held to ``math.erf`` and float64 references on a
+dense float32 grid.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from oracle import matvec, shannon_entropy, softmax
-from tosca.numerics import (ACTIVATIONS, activation, activation_grad,
+from tosca import numerics
+from tosca.numerics import (ACTIVATIONS, activation, activation_grad, erf,
                             flush_subnormals, softmax_rows, vecmat)
+
+_f32 = np.float32
+_math_erf = np.frompyfunc(math.erf, 1, 1)
+# every float32 erf result at or beyond the clamp, and every Phi result
+# at or beyond it times sqrt 2, is exactly +-1 (0 or 1 for Phi)
+_PHI_FLAT = float(numerics._ERF_CLAMP) * math.sqrt(2.0)
 
 # 0.5 * x * (1 + erf(x / sqrt(2))), 40-digit evaluation, rounded to f64
 _GELU_TABLE = {
@@ -25,9 +33,12 @@ _GELU_TABLE = {
 
 
 def test_gelu_against_closed_form():
+    # erf is a rational fit of relative error 2.3e-9, and beyond its clamp
+    # it is +-1 where the true erf is within 2**-26 of it: so Phi is within
+    # 2**-27 of the true CDF and gelu within |x| 2**-27, even in float64
     for x, want in _GELU_TABLE.items():
         got = float(activation("gelu", np.array([x]))[0])
-        assert got == pytest.approx(want, rel=1e-15)
+        assert abs(got - want) <= abs(x) * 2.0 ** -27
     # coarser published figure for the same point
     assert float(activation("gelu", np.array([3.0]))[0]) == pytest.approx(
         2.99596, abs=1e-4)
@@ -82,21 +93,36 @@ def _bits(a) -> np.ndarray:
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
+def _erf_formula(z) -> np.ndarray:
+    # x P(x^2) / Q(x^2) in float64 on x clamped to [-c, c], Q monic
+    y = np.maximum(np.minimum(np.asarray(z, dtype=np.float64),
+                              numerics._ERF_CLAMP), -numerics._ERF_CLAMP)
+    t = y * y
+    return y * np.polyval(numerics._ERF_P, t) / np.polyval(
+        (1.0,) + numerics._ERF_Q, t)
+
+
+def _defining_formulas(x, f):
+    """Each activation and its derivative written out in the kernels'
+    order, with the constants as ``f`` gives them."""
+    s = np.tanh(x * f(0.5)) * f(0.5) + f(0.5)
+    cdf = _erf_formula(x * f(1.0 / math.sqrt(2.0))).astype(x.dtype) * f(0.5) \
+        + f(0.5)
+    pdf = np.exp(f(-0.5) * x * x) * f(1.0 / math.sqrt(2.0 * math.pi))
+    return {
+        "relu": (np.maximum(x, f(0.0)), (x > 0).astype(x.dtype)),
+        "gelu": (x * cdf, x * pdf + cdf),
+        "sigmoid": (s, (f(1.0) - s) * s),
+    }
+
+
 def test_activations_are_bit_identical_to_their_defining_formulas():
-    # written out here as the package first had them; the forward's cache
-    # must give the same derivative bits as a fresh evaluation
+    # written out here as the kernels have them; the forward's cache must
+    # give the same derivative bits as a fresh evaluation
     x = _bitwise_grid()
     assert x.size > 290_000
     with np.errstate(all="ignore"):
-        e = np.exp(-np.abs(x))
-        s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-        pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
-        want = {
-            "relu": (np.maximum(x, 0.0), np.where(x > 0, 1.0, 0.0)),
-            "gelu": (x * 0.5 * (1.0 + erf(x / np.sqrt(2.0))), cdf + x * pdf),
-            "sigmoid": (s, s * (1.0 - s)),
-        }
+        want = _defining_formulas(x, _f32)
         for kind in ACTIVATIONS:
             want_out, want_grad = want[kind]
             out, cache = activation(kind, x, return_cache=True)
@@ -136,22 +162,14 @@ def test_activations_take_a_0d_input():
 
 
 def test_float32_activations_compute_in_float32():
-    # bit for bit the defining formulas evaluated in float32, with float32
-    # constants: an np.float64 constant would compute in float64 and round
+    # bit for bit the formulas evaluated in float32, with float32 constants
+    # (an np.float64 constant would compute in float64 and round), but for
+    # erf, which computes in float64 and rounds once to float32
     x = np.concatenate([np.linspace(-40.0, 40.0, 160_001),
                         [0.0, -0.0, 1e-30, -1e-30, 1e30, -1e30]]
                        ).astype(np.float32)
-    f = np.float32
     with np.errstate(all="ignore"):
-        e = np.exp(-np.abs(x))
-        s = np.where(x >= 0, f(1.0) / (f(1.0) + e), e / (f(1.0) + e))
-        cdf = f(0.5) * (f(1.0) + erf(x / f(math.sqrt(2.0))))
-        pdf = f(1.0 / math.sqrt(2.0 * math.pi)) * np.exp(f(-0.5) * x * x)
-        want = {
-            "relu": (np.maximum(x, f(0.0)), (x > 0).astype(f)),
-            "gelu": (x * cdf, cdf + x * pdf),
-            "sigmoid": (s, s * (f(1.0) - s)),
-        }
+        want = _defining_formulas(x, _f32)
         for kind in ACTIVATIONS:
             want_out, want_grad = want[kind]
             assert want_out.dtype == want_grad.dtype == np.float32
@@ -162,6 +180,80 @@ def test_float32_activations_compute_in_float32():
             assert out.tobytes() == want_out.tobytes()
             assert grad.tobytes() == want_grad.tobytes()
             assert activation_grad(kind, x).tobytes() == grad.tobytes()
+
+
+def _dense_grid(top: float) -> np.ndarray:
+    # float32, both signs: 1.2M even steps over [-top, top], every float32
+    # in [1, 1 + 2**-10], a log sweep of small magnitudes and the extremes
+    x = [np.linspace(-top, top, 1_200_001, dtype=np.float32),
+         (np.arange(1 << 13, dtype=np.uint32)
+          + np.float32(1.0).view(np.uint32)).view(np.float32),
+         np.geomspace(1e-37, 1.0, 20_001).astype(np.float32)]
+    x = np.concatenate(x)
+    return np.concatenate([x, -x, np.array([np.inf, -np.inf, 3e38, -3e38],
+                                           dtype=np.float32)])
+
+
+def _ulps(got, want) -> np.ndarray:
+    # |got - want| in float32 ulps of want
+    spacing = np.spacing(np.abs(want).astype(np.float32)).astype(np.float64)
+    return np.abs(got.astype(np.float64) - want) / spacing
+
+
+def test_erf_is_within_one_ulp_of_math_erf():
+    x = _dense_grid(6.0)
+    got = erf(x)
+    assert got.dtype == np.float32
+    out = np.empty_like(x)
+    assert erf(x, out=out) is out and out.tobytes() == got.tobytes()
+    assert _ulps(got, _math_erf(x.astype(np.float64)).astype(float)).max() <= 1.0
+    # odd, 0 at 0, and flat at exactly +-1 from the clamp on
+    assert np.array_equal(erf(-x), -got)
+    assert erf(np.float32(0.0)) == 0.0
+    flat = np.abs(x) >= numerics._ERF_CLAMP
+    assert flat.sum() > 100_000 and np.array_equal(np.abs(got[flat]),
+                                                    np.ones(flat.sum()))
+    assert (np.abs(got) <= 1.0).all()
+
+
+def test_phi_and_sigmoid_meet_their_float64_references():
+    x = _dense_grid(40.0)
+    x = x[np.isfinite(x)]
+    x64 = x.astype(np.float64)
+    phi = numerics._gelu_cdf(x)
+    want = 0.5 * (1.0 + _math_erf(x64 / math.sqrt(2.0)).astype(float))
+    assert np.abs(phi - want).max() <= 2.0 ** -23
+    sig = activation("sigmoid", x)
+    want = 0.5 * np.tanh(x64 / 2.0) + 0.5  # the logistic, without overflow
+    assert np.abs(sig - want).max() <= 2.0 ** -23
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_phi_and_sigmoid_stay_in_0_1_with_flat_tails(dtype):
+    x = _dense_grid(40.0).astype(dtype)
+    phi, sig = numerics._gelu_cdf(x), activation("sigmoid", x)
+    for v in (phi, sig):
+        assert v.dtype == dtype and ((0.0 <= v) & (v <= 1.0)).all()
+    assert (sig[x <= -40.0] == 0.0).all() and (sig[x >= 40.0] == 1.0).all()
+    if dtype == np.float32:  # a float64 Phi ends 2**-27 inside [0, 1]
+        assert (phi[x <= -_PHI_FLAT] == 0.0).all()
+        assert (phi[x >= _PHI_FLAT] == 1.0).all()
+    else:
+        beyond = np.abs(x) >= _PHI_FLAT
+        assert np.unique(phi[beyond & (x < 0)]).size == 1
+        assert np.unique(phi[beyond & (x > 0)]).size == 1
+
+
+def test_no_forward_activation_is_subnormal():
+    # a float32 forward value is 0 or at least 2**-25 in magnitude (gelu's
+    # x times that), so no matmul downstream reads a subnormal
+    x = _dense_grid(40.0)
+    x = x[np.isfinite(x) & (np.abs(x) >= 2.0 ** -100)]
+    tiny = np.finfo(np.float32).tiny
+    for v in (numerics._gelu_cdf(x), activation("gelu", x),
+              activation("sigmoid", x), activation("relu", x)):
+        assert v.dtype == np.float32
+        assert not ((v != 0.0) & (np.abs(v) < tiny)).any()
 
 
 def test_activations_compute_anything_but_float32_in_float64():

@@ -235,7 +235,7 @@ def test_a_scoring_error_reads_the_same_in_any_process(workers, cpus,
 
     monkeypatch.setattr(engine, "score_sessions", score_or_fail)
     cpus(workers)
-    with pytest.raises(ValueError, match="^non-finite logits$"):
+    with pytest.raises(ValueError, match="^tosca stage 2: non-finite logits$"):
         run_scenario(train, test, splits, "tosca", _FAST, 11)
 
 
