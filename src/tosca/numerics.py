@@ -4,32 +4,37 @@ derivatives, and the softmax.
 Parameters and features live in float32.  A kernel computes in the dtype
 ``float_array`` gives its input: float32 for training's and serving's
 rows, float64 for ``luca.gradient_check``'s.  Each activation is one kernel
-for both dtypes, built from numpy ufuncs alone.  Its constants are 0-d
-float32 arrays (erf's are float64, the dtype it computes in): an in-place
-op with one costs about 1.0 us on a 1 x 48 array, against 1.6-1.9 us with
-a Python float, and a 0-d array of the lower dtype does not promote a
-float64 input, which keeps its precision.
+for both dtypes, built from numpy ufuncs alone; only ``erf`` chooses its
+method by dtype.  The activations' constants are 0-d arrays: an in-place
+op with one costs about 1.0 us on a 1 x 48 array, against 1.6-1.9 us
+with a Python float.  Those that float32 holds exactly are float32, which
+does not promote a float64 input; gelu's 1/sqrt(2) and 1/sqrt(2 pi) come
+in the input's dtype, so a float64 gelu keeps its precision.
 Every forward and backward pass uses numpy matmul.  ``vecmat`` fixes the
 exact accumulation order (ascending index); no pass in the package calls
 it.  It is kept for the benchmark tracer's ``numerics.vecmat`` seam and
 for the per-sample reference forwards and backward in the tests, which the
 batched passes are held to.
 
-``erf`` is the odd rational form x * P(x^2) / Q(x^2) on x clamped to
-[-c, c], P of degree 6 and Q monic of degree 5: the form Eigen and XLA use
-for float32 erf, with coefficients that ``tools/erf_fit.py`` derives here
-by a reweighted least-squares fit to ``math.erf`` (relative error 2.3e-9).
-It computes in float64 whatever its input, from ``+``, ``*``, ``/``,
-``minimum`` and ``maximum`` alone, so its bits do not depend on the CPU's
-vector extensions, and rounds once to the input's dtype: a float32 result
-is within 0.54 ulp of ``math.erf`` on [-6, 6], and Phi = 0.5 * erf(x /
-sqrt 2) + 0.5 within 6.0e-8 of its float64 value.  The rational rises to
-1 - 2**-26 at c = 4.02, so float32 erf is exactly +-1 from c on and
-float32 Phi exactly 0 below -5.54 and 1 above 5.34: the tails are flat,
-and no gelu output is subnormal.  The sigmoid is 0.5 * tanh(x / 2) + 0.5,
-within 6.0e-8 of the float64 logistic, exactly 0 below -20 and 1 above
-17.32, and never subnormal either.  Only ``exp`` and ``tanh`` tie an
-activation's float32 bits to numpy's dispatch level.
+A float32 ``erf`` is the odd rational form x * P(x^2) / Q(x^2) on x
+clamped to [-c, c], P of degree 6 and Q monic of degree 5: the form Eigen
+and XLA use for float32 erf, with coefficients that ``tools/erf_fit.py``
+derives here by a reweighted least-squares fit to ``math.erf`` (relative
+error 2.3e-9; ``tests/test_erf_fit.py`` holds the committed constants to
+the script).  It computes in float64, from ``+``, ``*``, ``/``, ``minimum``
+and ``maximum`` alone, so its bits do not depend on the CPU's vector
+extensions, and rounds once to float32: within 0.54 ulp of ``math.erf`` on
+[-6, 6], and Phi = 0.5 * erf(x / sqrt 2) + 0.5 within 6.0e-8 of its
+float64 value.  The rational rises to 1 - 2**-26 at c = 4.02, so float32
+erf is exactly +-1 from c on and float32 Phi exactly 0 below -5.54 and 1
+above 5.34: the tails are flat, and no gelu output is subnormal.  A
+float64 ``erf``, which only ``gradient_check``'s small arrays take, is
+``math.erf`` entry by entry: the fit's 2.3e-9 would leave gelu's
+derivative ``cdf + x * pdf`` 1e-7 from the derivative of its forward.  The
+sigmoid is 0.5 * tanh(x / 2) + 0.5, within 6.0e-8 of the float64 logistic,
+exactly 0 below -20 and 1 above 17.32, and never subnormal either.  Only
+``exp`` and ``tanh`` tie a float32 activation's bits to numpy's dispatch
+level.
 
 ``activation(kind, x, return_cache=True)`` also returns the one value the
 derivative shares with the forward: Phi(x) for gelu, sigma(x) for the
@@ -60,11 +65,18 @@ def _f32(v: float) -> np.ndarray:
 
 
 _ZERO, _HALF, _ONE, _NEG_HALF = _f32(0.0), _f32(0.5), _f32(1.0), _f32(-0.5)
-_INV_SQRT2 = _f32(1.0 / math.sqrt(2.0))
-_INV_SQRT_2PI = _f32(1.0 / math.sqrt(2.0 * math.pi))
 
-# erf's clamp and coefficients (highest degree first; Q is monic), from
-# ``python3 tools/erf_fit.py``; float64, the dtype erf computes in
+
+def _by_dtype(v: float) -> dict:
+    # a constant that float32 does not hold exactly, in each kernel dtype
+    return {np.dtype(t): np.asarray(v, dtype=t) for t in (np.float32, np.float64)}
+
+
+_INV_SQRT2 = _by_dtype(1.0 / math.sqrt(2.0))
+_INV_SQRT_2PI = _by_dtype(1.0 / math.sqrt(2.0 * math.pi))
+
+# float32 erf's clamp and coefficients (highest degree first; Q is monic),
+# from ``python3 tools/erf_fit.py``; float64, the dtype erf computes in
 _ERF_CLAMP = np.asarray(4.0226259455222975)
 _ERF_FLOOR = -_ERF_CLAMP
 _ERF_P = tuple(map(np.asarray, (
@@ -74,6 +86,7 @@ _ERF_P = tuple(map(np.asarray, (
 _ERF_Q = tuple(map(np.asarray, (
     20.534467689389587, 242.04776341884346, 1781.132374728206,
     7770.149135674612, 15619.312983993186)))
+_MATH_ERF = np.frompyfunc(math.erf, 1, 1)  # float64 erf
 
 
 def float_array(x) -> np.ndarray:
@@ -84,11 +97,18 @@ def float_array(x) -> np.ndarray:
 
 
 def erf(x, out=None) -> np.ndarray:
-    """The error function, computed in float64 and rounded once into
-    ``out``, which may be ``x`` itself, or else into a new array of
-    ``float_array(x)``'s dtype."""
+    """The error function, written into ``out``, which may be ``x`` itself,
+    or else into a new array of ``float_array(x)``'s dtype: ``math.erf``
+    entry by entry for float64, and for float32 the rational fit, computed
+    in float64 and rounded once."""
     x = float_array(x)
-    y = x.astype(np.float64)  # a copy, even of float64
+    if x.dtype == np.float64:
+        y = np.asarray(_MATH_ERF(x), dtype=np.float64)
+        if out is None:
+            return y
+        out[...] = y
+        return out
+    y = x.astype(np.float64)
     np.minimum(y, _ERF_CLAMP, out=y)
     np.maximum(y, _ERF_FLOOR, out=y)
     t = np.multiply(y, y, out=np.empty_like(y))
@@ -116,7 +136,7 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     # Phi(x), the standard normal CDF
-    cdf = np.multiply(x, _INV_SQRT2, out=np.empty_like(x))
+    cdf = np.multiply(x, _INV_SQRT2[x.dtype], out=np.empty_like(x))
     erf(cdf, out=cdf)
     cdf *= _HALF
     cdf += _HALF
@@ -158,7 +178,7 @@ def activation_grad(kind: str, x, cache=None) -> np.ndarray:
         grad = np.multiply(_NEG_HALF, x, out=np.empty_like(x))
         grad *= x
         np.exp(grad, out=grad)
-        grad *= _INV_SQRT_2PI  # the pdf
+        grad *= _INV_SQRT_2PI[x.dtype]  # the pdf
         grad *= x
         grad += cdf
         return grad

@@ -16,6 +16,7 @@ exactly +-1.
 
 Run it with ``python3 tools/erf_fit.py``; it prints the constants as
 ``numerics.py`` writes them and the fit's largest relative error.
+``tests/test_erf_fit.py`` checks that it reproduces the committed ones.
 """
 
 import math
