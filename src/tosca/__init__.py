@@ -16,9 +16,9 @@ from .engine import (METHODS, BankEntry, ModuleBank, Prediction,
                      run_scenario, save_bank, train_session)
 from .heads import (PrototypeBank, SessionHead, build_prototypes, extend_head,
                     head_forward, make_head, prototype_classify_batch)
-from .luca import (LucaConfig, LucaGradients, LucaModule, gradient_check,
-                   init_luca, l1_norm, layerwise_adapter_count, luca_forward,
-                   param_count, sparsity_ratio)
+from .luca import (LucaConfig, LucaModule, gradient_check, init_luca, l1_norm,
+                   layerwise_adapter_count, luca_forward, param_count,
+                   sparsity_ratio)
 from .numerics import activation, activation_grad, softmax_rows
 from .optim import (OptimConfig, cosine_lr, sgd_l1_step, soft_threshold,
                     train_epochs)
@@ -36,9 +36,9 @@ __all__ = [
     "predict_batch", "run_scenario", "save_bank", "train_session",
     "PrototypeBank", "SessionHead", "build_prototypes", "extend_head",
     "head_forward", "make_head", "prototype_classify_batch",
-    "LucaConfig", "LucaGradients", "LucaModule", "gradient_check",
-    "init_luca", "l1_norm", "layerwise_adapter_count", "luca_forward",
-    "param_count", "sparsity_ratio",
+    "LucaConfig", "LucaModule", "gradient_check", "init_luca", "l1_norm",
+    "layerwise_adapter_count", "luca_forward", "param_count",
+    "sparsity_ratio",
     "activation", "activation_grad", "softmax_rows",
     "OptimConfig", "cosine_lr", "sgd_l1_step", "soft_threshold",
     "train_epochs",

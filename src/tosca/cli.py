@@ -92,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
+    _check_targets(f"{args.out}.train.ftr", f"{args.out}.test.ftr")
     train, test = synth_gaussian(args.d, args.classes, args.train_per_class,
                                  args.test_per_class, args.separation,
                                  args.sigma, args.seed)
@@ -184,6 +185,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_report(args) -> int:
     if args.csv is None and args.plot is None:
         raise ValueError("nothing to do; pass --csv and/or --plot")
+    _check_targets(args.csv, args.plot)
     reps = [load_report(p) for p in args.inputs]
     if args.csv is not None:
         if len(reps) != 1:

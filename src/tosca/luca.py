@@ -17,11 +17,12 @@ activation derivative shares with the forward: gelu's Phi, the sigmoid's
 output.  The backward hands that to ``activation_grad``, so a training step
 evaluates each ``erf`` and sigmoid once.  The forward computes in its rows'
 dtype (``numerics.float_array``), the backward in its upstream's: float32
-in training, float64 in ``gradient_check``.  Training gives the backward
-one flat float32 vector as ``out``: each weight gradient is written into
-its ``matrix_views`` slice of it, and the input gradient is skipped.
-Each backward array that a matmul reads and that float32 can underflow is
-flushed of subnormals (``numerics.flush_subnormals``) first.
+in training, float64 in ``gradient_check``.  The backward writes the four
+weight gradients into the ``matrix_views`` of one flat vector, ``out``,
+and nothing else: the module sits on frozen features, so no gradient flows
+below it and its input gradient is never computed.  Each backward array
+that a matmul reads and that float32 can underflow is flushed of
+subnormals (``numerics.flush_subnormals``) first.
 """
 
 from __future__ import annotations
@@ -101,15 +102,6 @@ def matrix_views(flat: np.ndarray, d: int, r: int):
             flat[2 * n:3 * n].reshape(d, r), flat[3 * n:].reshape(r, d))
 
 
-@dataclass
-class LucaGradients:
-    w_down: np.ndarray
-    w_up: np.ndarray
-    v_down: np.ndarray
-    v_up: np.ndarray
-    d_input: np.ndarray | None  # None when the backward was given ``out``
-
-
 def init_luca(d: int, r: int, config: LucaConfig | None = None, rng_seed: int = 0,
               dtype=np.float32) -> LucaModule:
     """Seeded init: W_down, V_down, V_up ~ N(0, 0.02), W_up = 0.
@@ -176,41 +168,42 @@ def _calibrator_rows(X, vd, vu, cfg: LucaConfig, keep: bool):
 
 def _adapter_grads(cache, wd, wu, cfg: LucaConfig, dOut, d_wd, d_wu,
                    need_input: bool):
-    # (dW_down, dW_up, dX) given _adapter_rows' cache and upstream dOut:
-    # dH = flush((dOut W_up^T) * act_a'(H)), dW_down = X^T dH, dW_up = S^T dOut
-    # and dX = dOut + dH W_down^T.  The weight gradients are written into
-    # d_wd and d_wu; dX is None unless need_input.
+    # writes dW_down = X^T dH and dW_up = S^T dOut into d_wd and d_wu, given
+    # _adapter_rows' cache and upstream dOut, with
+    # dH = flush((dOut W_up^T) * act_a'(H)); returns dX = dOut + dH W_down^T
+    # if need_input, else None
     X, H, S, Sc = cache
     dH = dOut @ wu.T
     dH *= activation_grad(cfg.adapter_act, H, Sc)
     flush_subnormals(dH)
-    d_wd = np.matmul(X.T, dH, out=d_wd)
-    d_wu = np.matmul(S.T, dOut, out=d_wu)
+    np.matmul(X.T, dH, out=d_wd)
+    np.matmul(S.T, dOut, out=d_wu)
     if not need_input:
-        return d_wd, d_wu, None
+        return None
     dX = dH @ wd.T
     dX += dOut
-    return d_wd, d_wu, dX
+    return dX
 
 
 def _calibrator_grads(cache, vd, vu, cfg: LucaConfig, dOut, d_vd, d_vu,
                       need_input: bool):
-    # (dV_down, dV_up, dX) given _calibrator_rows' cache and upstream dOut:
-    # dG = flush(dOut * X), dQ = flush((dG V_up^T) * act_g'(Q)),
-    # dV_down = X^T dQ, dV_up = T^T dG and dX = flush(dOut * G + dQ V_down^T);
-    # outputs as above.  flush is numerics.flush_subnormals.
+    # writes dV_down = X^T dQ and dV_up = T^T dG into d_vd and d_vu, given
+    # _calibrator_rows' cache and upstream dOut, with dG = flush(dOut * X)
+    # and dQ = flush((dG V_up^T) * act_g'(Q)); returns
+    # dX = flush(dOut * G + dQ V_down^T) if need_input, else None.  flush is
+    # numerics.flush_subnormals.
     X, Q, T, G, Tc = cache
     dG = flush_subnormals(dOut * X)
     dQ = dG @ vu.T
     dQ *= activation_grad(cfg.gate_act, Q, Tc)
     flush_subnormals(dQ)
-    d_vd = np.matmul(X.T, dQ, out=d_vd)
-    d_vu = np.matmul(T.T, dG, out=d_vu)
+    np.matmul(X.T, dQ, out=d_vd)
+    np.matmul(T.T, dG, out=d_vu)
     if not need_input:
-        return d_vd, d_vu, None
+        return None
     dX = dOut * G
     dX += dQ @ vd.T
-    return d_vd, d_vu, flush_subnormals(dX)
+    return flush_subnormals(dX)
 
 
 def _matrices_as(m: LucaModule, dtype):
@@ -245,38 +238,28 @@ def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False)
 
 
 def luca_backward_batch(m: LucaModule, cache, U: np.ndarray,
-                        out: np.ndarray | None = None) -> LucaGradients:
-    """Batch-summed gradients of sum(U * luca_forward_batch(Z)) given the
-    forward's cache; ``d_input`` keeps one row per sample.  It computes in
-    ``float_array(U)``'s dtype, which should be the cache's.
-
-    The four weight gradients are written into ``out``, a vector of 4*d*r
-    entries in that dtype, in ``flat_params`` order; the returned ones are
-    its ``matrix_views``.  Given ``out``, as training gives it, the input
-    gradient, which training discards, is not computed: ``d_input`` is
-    None.  Without it the vector is allocated here.
+                        out: np.ndarray) -> None:
+    """Write the batch-summed weight gradients of
+    sum(U * luca_forward_batch(Z)), given the forward's cache, into ``out``:
+    a vector of 4*d*r entries in ``flat_params`` order, each matrix in its
+    ``matrix_views`` slice.  It computes in ``float_array(U)``'s dtype,
+    which should be the cache's and ``out``'s.  Only the half that runs
+    first computes its input gradient, which is the other half's upstream;
+    the module's own input gradient is not computed.
     """
     U = float_array(U)
     wd, wu, vd, vu = _matrices_as(m, U.dtype)
     cfg = m.config
     adapter_cache, calibrator_cache = cache
-    need_input = out is None
-    if need_input:
-        out = np.empty(4 * m.d * m.r, dtype=U.dtype)
     o_wd, o_wu, o_vd, o_vu = matrix_views(out, m.d, m.r)
     if cfg.reversed:  # the adapter's matmuls read U, so flush a copy of it
-        d_wdown, d_wup, dC = _adapter_grads(adapter_cache, wd, wu, cfg,
-                                            flush_subnormals(U.copy()),
-                                            o_wd, o_wu, True)
-        d_vdown, d_vup, dZ = _calibrator_grads(calibrator_cache, vd, vu, cfg,
-                                               dC, o_vd, o_vu, need_input)
+        dC = _adapter_grads(adapter_cache, wd, wu, cfg,
+                            flush_subnormals(U.copy()), o_wd, o_wu, True)
+        _calibrator_grads(calibrator_cache, vd, vu, cfg, dC, o_vd, o_vu, False)
     else:
-        d_vdown, d_vup, dA = _calibrator_grads(calibrator_cache, vd, vu, cfg,
-                                               U, o_vd, o_vu, True)
-        d_wdown, d_wup, dZ = _adapter_grads(adapter_cache, wd, wu, cfg, dA,
-                                            o_wd, o_wu, need_input)
-    return LucaGradients(w_down=d_wdown, w_up=d_wup, v_down=d_vdown, v_up=d_vup,
-                         d_input=dZ)
+        dA = _calibrator_grads(calibrator_cache, vd, vu, cfg, U, o_vd, o_vu,
+                               True)
+        _adapter_grads(adapter_cache, wd, wu, cfg, dA, o_wd, o_wu, False)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +301,16 @@ _CHECK_ROWS = 3  # more than one, so the sums over the batch are checked too
 def gradient_check(trials: int = 20, d_max: int = 16, r_max: int = 4,
                    h: float = 1e-5, seed: int = 7041) -> float:
     """Max relative error of ``luca_backward_batch`` vs central differences
-    of sum(U * luca_forward_batch(Z)) on three-row batches.  The weight
-    gradients are checked as training receives them, written into one flat
-    vector through ``out``, and the input gradient from a call without it.
+    of sum(U * luca_forward_batch(Z)) on three-row batches.  Each trial runs
+    one backward, as training does, and perturbs every entry of the flat
+    weight vector that its gradients are written into.
 
     Cycles through all 9 (adapter_act, gate_act) pairs and both gate/order
-    flags across ``trials`` random float64 modules.  Inputs are resampled when
-    a relu pre-activation sits within 1e-6 of its kink.
+    flags across ``trials`` random float64 modules.  Each half's input
+    gradient is checked through the other half's weight gradients, whose
+    upstream it is in the order where that half runs first in the backward.
+    Inputs are resampled when a relu pre-activation sits within 1e-6 of its
+    kink.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, not {trials}")
@@ -362,27 +348,20 @@ def _sample_away_from_kinks(gen, m, margin: float = 1e-6, attempts: int = 200):
 
 
 def _module_fd_error(Z, cache, m: LucaModule, flat, U, h: float) -> float:
-    # m's matrices view ``flat``; the weight gradients as training receives
-    # them, written into one vector laid out as ``flat``, and the input
-    # gradient from the call that computes it
+    # m's matrices view ``flat``; the gradients, written into one vector
+    # laid out as ``flat``, against central differences over its entries
     grad = np.empty_like(flat)
-    luca_backward_batch(m, cache, U, out=grad)
-    d_input = luca_backward_batch(m, cache, U).d_input
-
-    def probe() -> float:
-        return float(np.sum(U * luca_forward_batch(Z, m)))
-
+    luca_backward_batch(m, cache, U, grad)
     worst = 0.0
-    for x, g in ((flat, grad), (Z.reshape(-1), d_input.reshape(-1))):
-        for i in range(x.size):
-            orig = x[i]
-            x[i] = orig + h
-            f_plus = probe()
-            x[i] = orig - h
-            f_minus = probe()
-            x[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            a = float(g[i])
-            denom = max(abs(a), abs(numeric), 1e-6)
-            worst = max(worst, abs(a - numeric) / denom)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        f_plus = float(np.sum(U * luca_forward_batch(Z, m)))
+        flat[i] = orig - h
+        f_minus = float(np.sum(U * luca_forward_batch(Z, m)))
+        flat[i] = orig
+        numeric = (f_plus - f_minus) / (2.0 * h)
+        a = float(grad[i])
+        denom = max(abs(a), abs(numeric), 1e-6)
+        worst = max(worst, abs(a - numeric) / denom)
     return worst

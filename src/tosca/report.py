@@ -36,8 +36,12 @@ def load_report(path) -> dict:
     ``selection_accuracy``.  Each accuracy is an int or float, not a bool,
     in [0, 100].  A ``method``, the plot's legend label, is a string if
     present.  Anything else raises ``ValueError`` naming the field."""
-    with open(path) as fh:
-        rep = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rep = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"report {path}: not a UTF-8 JSON file ({exc})"
+                         ) from None
     if not isinstance(rep, dict):
         raise ValueError(f"report {path}: not a JSON object")
     if not isinstance(rep.get("method", ""), str):

@@ -23,10 +23,11 @@
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from tosca.luca import LucaGradients, LucaModule, l1_norm
+from tosca.luca import LucaModule, l1_norm
 from tosca.numerics import activation, activation_grad, softmax_rows, vecmat
 from tosca.optim import cosine_lr, sgd_l1_step
 
@@ -165,7 +166,18 @@ def _calibrator_backward(z, m, upstream):
     return d_vdown, d_vup, dz
 
 
-def luca_backward(z, m: LucaModule, upstream) -> LucaGradients:
+@dataclass
+class SampleGradients:
+    """``luca_backward``'s result: the four weight gradients and, unlike the
+    package's backward, the gradient with respect to the input row."""
+    w_down: np.ndarray
+    w_up: np.ndarray
+    v_down: np.ndarray
+    v_up: np.ndarray
+    d_input: np.ndarray
+
+
+def luca_backward(z, m: LucaModule, upstream) -> SampleGradients:
     """Gradients of dot(upstream, luca_forward(z)) w.r.t. the four matrices and z."""
     z = np.asarray(z, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -179,8 +191,8 @@ def luca_backward(z, m: LucaModule, upstream) -> LucaGradients:
         a = adapter_forward(z, m)
         d_vdown, d_vup, da = _calibrator_backward(a, m, upstream)
         d_wdown, d_wup, dz = _adapter_backward(z, m, da)
-    return LucaGradients(w_down=d_wdown, w_up=d_wup, v_down=d_vdown, v_up=d_vup,
-                         d_input=dz)
+    return SampleGradients(w_down=d_wdown, w_up=d_wup, v_down=d_vdown,
+                           v_up=d_vup, d_input=dz)
 
 
 def _loss_grads_reference(m: LucaModule, head_w, Z, y_cols):

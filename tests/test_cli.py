@@ -2,6 +2,7 @@
 or in a fresh interpreter where the exact text on stderr is checked."""
 
 import copy
+import errno
 import json
 import math
 import os
@@ -406,6 +407,127 @@ def test_run_and_sweep_check_their_targets_before_training(
     assert rc == 1 and calls == []
     assert err.startswith("error: cannot write ") and err.count("\n") == 1
     assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["synth", "--out", "{missing}/x"],
+     "cannot write {missing}/x.train.ftr: no directory {missing}"),
+    (["synth", "--out", "{tmp}/taken"],
+     "cannot write {tmp}/taken.test.ftr: it is a directory"),
+    (["report", "--in", "{tmp}/rep.json", "--csv", "{missing}/o.csv"],
+     "cannot write {missing}/o.csv: no directory {missing}"),
+    (["report", "--in", "{tmp}/rep.json", "--csv", "{tmp}"],
+     "cannot write {tmp}: it is a directory"),
+    (["report", "--in", "{tmp}/rep.json", "--plot", "{missing}/p.svg"],
+     "cannot write {missing}/p.svg: no directory {missing}"),
+    (["report", "--in", "{tmp}/rep.json", "--plot", "{tmp}"],
+     "cannot write {tmp}: it is a directory"),
+])
+def test_synth_and_report_check_their_targets_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, message):
+    # the error names the target, not the temporary file beside it, and
+    # comes before any data is made or report read
+    calls = []
+    monkeypatch.setattr(tosca.cli, "synth_gaussian",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(tosca.cli, "load_report",
+                        lambda path: calls.append(path))
+    (tmp_path / "taken.test.ftr").mkdir()
+    names = {"missing": tmp_path / "no" / "dir", "tmp": tmp_path}
+    _refused(capsys, [a.format(**names) for a in argv], message.format(**names))
+    assert calls == []
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["taken.test.ftr"]
+
+
+@pytest.mark.parametrize("data, detail", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte"),
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b"{nope", "Expecting property name enclosed in double quotes: "
+               "line 1 column 2 (char 1)"),
+])
+def test_report_names_a_file_that_is_not_utf8_json(tmp_path, capsys, data,
+                                                   detail):
+    rep = tmp_path / "rep.json"
+    rep.write_bytes(data)
+    _refused(capsys, ["report", "--in", str(rep), "--csv",
+                      str(tmp_path / "o.csv")],
+             f"report {rep}: not a UTF-8 JSON file ({detail})")
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("flag", [
+    "--d 0", "--d=-2", "--classes 0", "--classes 1", "--train-per-class 0",
+    "--test-per-class 0", "--sigma 0", "--sigma=-1", "--separation 0",
+    "--separation=-1",
+])
+def test_synth_refuses_a_bad_value(tmp_path, capsys, flag):
+    prefix = tmp_path / "bad"
+    _refused(capsys, _synth_args(prefix) + flag.split(), "invalid parameters")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _malformed_feature_file(tmp_path, bench, kind):
+    """A path whose file is ``kind``: absent, a directory, or bytes that
+    ``load_features`` refuses."""
+    path = tmp_path / f"{kind}.ftr"
+    if kind == "directory":
+        path.mkdir()
+    elif kind != "missing":
+        path.write_bytes({
+            "empty": b"",
+            "junk": b"not a feature file at all",
+            "report": b'{"A_bar": 1.0, "stages": []}',
+            "truncated": Path(f"{bench}.train.ftr").read_bytes()[:100],
+        }[kind])
+    return path
+
+
+_FEATURE_REFUSALS = {
+    "missing": "[Errno {}] {}: '{{path}}'".format(errno.ENOENT,
+                                                  os.strerror(errno.ENOENT)),
+    "directory": "[Errno {}] {}: '{{path}}'".format(errno.EISDIR,
+                                                    os.strerror(errno.EISDIR)),
+    "empty": "not a feature file",
+    "junk": "not a feature file",
+    "report": "not a feature file",
+    "truncated": "unexpected end of file",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FEATURE_REFUSALS))
+@pytest.mark.parametrize("flag", ["--data", "--test"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_refuse_a_malformed_feature_file(
+        bench, tmp_path, capsys, command, flag, kind):
+    path = _malformed_feature_file(tmp_path, bench, kind)
+    files = {"--data": f"{bench}.train.ftr", "--test": f"{bench}.test.ftr",
+             flag: str(path)}
+    argv = [command, "--data", files["--data"], "--test", files["--test"],
+            "--inc", "2", "--epochs", "1"]
+    if command == "sweep":
+        argv += ["--lambdas", "0", "--rs", "4",
+                 "--out", str(tmp_path / "sweep.csv")]
+    _refused(capsys, argv, _FEATURE_REFUSALS[kind].format(path=path))
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("synth, message", [
+    (["--d", "4"], "dimension mismatch"),  # the train rows have d=8
+    (["--classes", "3"], "empty test set"),  # no rows of stage 2's classes
+])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_run_and_sweep_refuse_a_test_set_that_does_not_fit(
+        bench, tmp_path, capsys, command, synth, message):
+    other = tmp_path / "other"
+    assert main(_synth_args(other) + synth) == 0
+    argv = [command, "--data", f"{bench}.train.ftr",
+            "--test", f"{other}.test.ftr", "--inc", "2", "--epochs", "1"]
+    if command == "sweep":
+        argv += ["--lambdas", "0", "--rs", "4",
+                 "--out", str(tmp_path / "sweep.csv")]
+    capsys.readouterr()
+    _refused(capsys, argv, message)
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):

@@ -12,27 +12,38 @@ Each case pins thirteen digests: the five reports without
 ``finetune`` and ``joint`` module and head, serialized as one bank entry,
 and, for each of the four trained methods, its weights: every session's
 four matrices and head as float32 bytes, whatever the container holds.  A
-change that moves a single bit of any of them fails here.  ``d768`` runs again in a
-subprocess at two OpenBLAS threads and must give the same digests: bits
-do not depend on the BLAS thread count.  The ``d32`` case reads the
-``joint``, ``tosca`` and ``finetune`` runs of the session-wide ``headline``
-fixture (``conftest.py``) instead of running them again.
+change that moves a single bit of any of them fails here.
+
+Float32 ``sgemm`` rounds differently per OpenBLAS kernel, and numpy's
+float32 ``exp``, ``log`` and ``tanh`` per SIMD dispatch level, so the
+trained bits are pinned on kernels that every x86-64-v2 CPU runs.  All
+thirteen digests of both cases are computed once in a subprocess started
+with two switches (``portable_env``): ``OPENBLAS_CORETYPE=Prescott``, and
+``NPY_DISABLE_CPU_FEATURES`` naming every target in numpy's
+``__cpu_dispatch__``, which caps numpy at its X86_V2 baseline.  The
+``.report`` digests are also checked in this process, on the native
+kernels, where they do not move.  ``d768`` runs again natively in a
+subprocess at two OpenBLAS threads and must give this process's native
+digests: bits do not depend on the BLAS thread count.  The ``d32`` case
+reads the ``joint``, ``tosca`` and ``finetune`` runs of the session-wide
+``headline`` fixture (``conftest.py``) instead of running them again.
 
 On each case's ``tosca`` bank, routing, which computes in float32, must
 pick the session and class that a float64 reference picks on every test
 row, and single-row ``predict`` what 32-row ``predict_batch`` picks.
 
 The digests were pinned on Python 3.11.7, numpy 2.4.6 and the
-scipy-openblas 0.3.31.188.0 that numpy bundles (x86-64, SkylakeX kernel),
-with no scipy in the stack.  They depend on that OpenBLAS and on numpy's
-float32 ``exp`` and ``tanh`` loops, so on another stack a mismatch means
-"bits differ from the pinned host", not necessarily a fault.
+scipy-openblas 0.3.31.188.0 that numpy bundles (x86-64), with no scipy in
+the stack.  Another numpy or OpenBLAS release may round differently, so on
+another stack a mismatch means "bits differ from the pinned stack", not
+necessarily a fault.
 
     python tests/test_golden.py [case ...]
 
-prints the current digests in the layout of ``GOLDEN``.  A change that
-moves bits on purpose re-pins by replacing ``GOLDEN`` with that output,
-and says why in CHANGES.md.
+prints the current digests in the layout of ``GOLDEN`` on the kernels it
+runs on.  A change that moves bits on purpose re-pins by replacing
+``GOLDEN`` with that output on the portable kernels, after setting the
+two switches as ``portable_env`` does, and says why in CHANGES.md.
 """
 
 import ast
@@ -70,27 +81,27 @@ GOLDEN = {
         "tosca.report":
             "9a20a2359e3dad9f038df7025c0e3c9b0ebfa0ef392dd733636ec34d5f83ea5f",
         "tosca.bank":
-            "8749eba3c04134f95635bb81b9e4956e916f9d6ae07d27879065c0f72eadbdaa",
+            "21522700c47d22029e4e7af851f0dba98bfc51ec3301a5745f278d9a7200ac73",
         "tosca.weights":
-            "950f29ed6779afc84e8d696f97f938294f1246f90533c11eb18cd0b1fd9bb20c",
+            "8c542f8020a1b26dfa71dc96872038f1e3ce531858b63faccf93dd5ce643d73c",
         "tosca_r.report":
             "083f2c168ae738b5b65e83a3e9a876e27720d3097eb0243042c4e96805d33d26",
         "tosca_r.bank":
-            "586e95a178927a61c76ad182aac84a2f71f11bb34e35b0cd2799ee4b63990521",
+            "d2c78bee7cf2cb73e48bf2f6539f5dc842f950ba0c70ff91da93b1c9b48b7d3c",
         "tosca_r.weights":
-            "11574b31a5e93e1291486dda48f439a88a68cbac82e7e79db0d817ba96b81dfd",
+            "a049ccafefd4a90ad4a5bd730431d7582ec6df5022bd8273a27c01bc00cfca5f",
         "finetune.report":
             "2186318cefb85aa749a02862b801779b3bcfdc989a1f0a281ceb95c4f1ce453f",
         "finetune.model":
-            "dd05403f02c45f15391b2201a9dcd51b75092105a257ba39c465896757cfd18b",
+            "9c0178e55b4b3239ac7b04f30d3d6d48ba406ba0bade2957354668365f652758",
         "finetune.weights":
-            "df69efbd40116edbd4a4c233586ccb6de2282a315f399ad4ec934889512ec8da",
+            "b73c973efc88c4803a478b4381b07a3870787282a2127232b2e48df753e98cb4",
         "joint.report":
             "cd888fccf32419e86a9ceeafbdc243586d27e13ec9d4bbcbf9f7aa94fde1bc19",
         "joint.model":
-            "8a116a28778bc6ed89045c77b1c73b78927bb019caf0e9cbb833c4513f322b43",
+            "8e0651183c0a135d330ec6d5a96068ec1250ccc0bfe15b602bb73be42053aeca",
         "joint.weights":
-            "172f9f47ea192ac12bf00d45030317c9f99326a206986714515e013ecc0df0cb",
+            "4c464b3dfcb41dea67b7614fd78ba060a0043def61d396e7062d4aa7e42bf6e1",
         "simplecil.report":
             "3a5f3e7a97b0524eecf93559427d26e5cbb019627b8115d3068ceb3e4e078ead",
     },
@@ -98,27 +109,27 @@ GOLDEN = {
         "tosca.report":
             "353846bab6e6341c1204c03a7683b7a6fa75e68002321c60ab0fdee0da425a96",
         "tosca.bank":
-            "8d5d6b3d4d56327553100b1f5740e3a3da0931bfc6e9a25aeb2aea61ed687225",
+            "f5c7138e68b5636f24d547865bd3aa4b3cb636ec0ca1ee594d47421cdc6e6de4",
         "tosca.weights":
-            "490b16f0d2cad42e1cd875a8b29774b8b3a22f40fc22c68476332e4f018e7556",
+            "d396812a390481a9be5ea35925e1e177e8fc20110fcb4b8132c3b2e1ebda80d9",
         "tosca_r.report":
             "20c0d2d5f11e4cc462680bf4aeecd7446a18614eb6536b51b7db8e6a24ba5d6e",
         "tosca_r.bank":
-            "ce55cbb0e659621472b71c6eabd2834d1078bdb302de89cde834405c6d29a5e9",
+            "c24cea180e70a28330c4d7f9950c3f64eb8b3b27987366b3f03ca553751a062f",
         "tosca_r.weights":
-            "657f14fd2445f576ebaf9abca5765ed7a92bc2089b8f7cc0d08714bee316014a",
+            "f2a3c13e620b067adddc5da934949da21333799e70c14cc021fa4778e20b45e2",
         "finetune.report":
             "8b54fbc044f479553d1523201ca440e90b52d7a6a07b7f1f149644db8285d673",
         "finetune.model":
-            "626ae6dbd84ceab060784ef065eb4ce3e20f5d95ecdd743cd8c84107979a6ed3",
+            "ac416d5ba14948fb6fe1c14bd90689127c8d76c4be2ebb71438d17f65907abd9",
         "finetune.weights":
-            "6220520022e5e7f51e1ff08b2388f02fc918902d8cba2b6a7599f32c8880fe1c",
+            "1134eac39e6bb6bf4265ee78d51831ff52686110f3a9dd201a13ea51f62bed43",
         "joint.report":
             "86bfcdfc702663f72719ff266e7be9d0b7e486832317ed935dbe14b3a02c7a94",
         "joint.model":
-            "1cdb1b405e15c0bc063f601e64fec6852ebf1b64a840b69edb41d8e2949a1a78",
+            "6dfecce068cd1e6d805c7f1ac10e7778864c5600daddac28ef29f0c5884978d7",
         "joint.weights":
-            "310289d656cdbfef88e60361553e29b24849e51fe03273522999e6c93602b3d2",
+            "618dc5fa0d0f7be3c05967c32b79fd66240fc2f60e83cc286ee7300e99e3cb05",
         "simplecil.report":
             "1ea315aec0340d1b6403cfb5cd1723ce0ce3c53e013227c06dfe8e81baa1678b",
     },
@@ -192,15 +203,54 @@ def layout(golden: dict) -> str:
     return "\n".join(lines)
 
 
+def portable_env() -> dict:
+    """This process's environment with OpenBLAS on its Prescott kernels and
+    every SIMD target that numpy dispatches to above its baseline
+    disabled."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    return dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+                NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+
+
+def _script_digests(env: dict, *cases) -> dict:
+    """This script's digests of ``cases`` (all if none), run under ``env``."""
+    out = subprocess.run([sys.executable, __file__, *cases], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return ast.literal_eval(out.split("=", 1)[1])
+
+
 def _headline_runs(case: str, request):
     """The shared ``headline`` fixture's runs if ``case`` is ``d32``, which
     is the headline; no runs for another case."""
     return request.getfixturevalue("headline")["runs"] if case == "d32" else {}
 
 
+@pytest.fixture(scope="module")
+def native(request):
+    """``case`` -> its digests in this process, computed once per case."""
+    memo = {}
+
+    def get(case):
+        if case not in memo:
+            memo[case] = digests(case, _headline_runs(case, request))
+        return memo[case]
+    return get
+
+
+@pytest.fixture(scope="module")
+def portable():
+    """Every case's digests on the portable kernels, from one subprocess."""
+    return _script_digests(portable_env())
+
+
+def _reports(pinned: dict) -> dict:
+    return {k: v for k, v in pinned.items() if k.endswith(".report")}
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_digests(case, request):
-    assert digests(case, _headline_runs(case, request)) == GOLDEN[case]
+def test_golden_digests(case, native, portable):
+    assert _reports(native(case)) == _reports(GOLDEN[case])
+    assert portable[case] == GOLDEN[case]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -222,11 +272,11 @@ def test_float32_routing_agrees_with_a_float64_reference(case, request):
         assert (p.class_id, p.session_index) == (classes[i], sessions[i]), i
 
 
-def test_golden_digests_at_two_blas_threads():
+def test_golden_digests_at_two_blas_threads(native):
+    # on the native kernels, against this process's digests: the pins hold
+    # only on the portable ones
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-    out = subprocess.run([sys.executable, __file__, "d768"], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert ast.literal_eval(out.split("=", 1)[1]) == {"d768": GOLDEN["d768"]}
+    assert _script_digests(env, "d768") == {"d768": native("d768")}
 
 
 if __name__ == "__main__":

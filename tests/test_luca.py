@@ -189,13 +189,23 @@ def test_l1_norm_and_sparsity():
 _SLOTS = ("w_down", "w_up", "v_down", "v_up")
 
 
+def _backward(m, cache, U):
+    """The weight gradients by slot: the ``matrix_views`` of a fresh flat
+    vector in U's dtype, written by ``luca_backward_batch`` as training
+    receives them."""
+    flat = np.empty(4 * m.d * m.r, dtype=np.asarray(U).dtype)
+    luca_backward_batch(m, cache, U, flat)
+    return dict(zip(_SLOTS, matrix_views(flat, m.d, m.r)))
+
+
 def _objective(Z, m, U):
     # sum_i <U_i, L(Z_i)> over one row or a batch of rows
     return float(np.sum(U * luca_forward_batch(np.atleast_2d(Z), m)))
 
 
-def _fd_grads(z, m, upstream, h=1e-5):
-    """Central differences on copies of the module, one entry at a time.
+def _fd_grads(z, m, upstream, wrt_input=False, h=1e-5):
+    """Central differences on copies of the module, one entry at a time,
+    and, with ``wrt_input``, on copies of ``z`` as ``d_input``.
 
     ``z`` and ``upstream`` are one row or a batch of rows; parameter
     gradients are summed over the rows, as ``luca_backward_batch`` does.
@@ -214,6 +224,8 @@ def _fd_grads(z, m, upstream, h=1e-5):
             g.flat[flat] = (_objective(z, plus, upstream)
                             - _objective(z, minus, upstream)) / (2 * h)
         grads[slot] = g
+    if not wrt_input:
+        return grads
     z = np.asarray(z, dtype=np.float64)
     dz = np.zeros_like(z)
     for i in range(z.size):
@@ -228,8 +240,9 @@ def _fd_grads(z, m, upstream, h=1e-5):
 
 
 def _assert_grads_match(analytic, numeric):
-    for slot in _SLOTS + ("d_input",):
-        a = getattr(analytic, slot)
+    # every gradient in ``analytic``, a dict by slot, against ``numeric``
+    assert analytic.keys() == numeric.keys()
+    for slot, a in analytic.items():
         n = numeric[slot]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
         assert (np.abs(a - n) / denom).max() < 1e-4, slot
@@ -264,8 +277,8 @@ def test_backward_matches_finite_differences(adapter_act, gate_act, residual, re
         while np.abs(z @ m.w_down).min() < 1e-3:
             z = gen.normals(d)
     upstream = gen.normals(d)
-    _assert_grads_match(luca_backward(z, m, upstream),
-                        _fd_grads(z, m, upstream))
+    _assert_grads_match(vars(luca_backward(z, m, upstream)),
+                        _fd_grads(z, m, upstream, wrt_input=True))
 
 
 @pytest.mark.parametrize("rev", [False, True])
@@ -288,7 +301,7 @@ def test_batch_backward_matches_finite_differences(adapter_act, gate_act,
         if min(np.abs(H).min(), np.abs(Q).min()) >= 1e-3:
             break
     U = gen.normals(B * d).reshape(B, d)
-    _assert_grads_match(luca_backward_batch(m, cache, U), _fd_grads(Z, m, U))
+    _assert_grads_match(_backward(m, cache, U), _fd_grads(Z, m, U))
 
 
 _CONFIGS = [LucaConfig(adapter_act=a, gate_act=g, gate_residual=res,
@@ -298,28 +311,25 @@ _CONFIGS = [LucaConfig(adapter_act=a, gate_act=g, gate_residual=res,
 
 
 @pytest.mark.parametrize("cfg", _CONFIGS, ids=str)
-def test_backward_into_a_flat_buffer_matches_the_returned_gradients(cfg):
-    # the weight gradients training receives, written into one flat vector,
-    # are the bits of the backward that allocates them
+def test_backward_writes_all_of_out_and_leaves_its_inputs(cfg):
+    # every entry of the flat vector is written, and U, the cache and the
+    # module are left for the next call, which writes the same bytes
     gen = Xoshiro256StarStar(307)
     B, d, r = 5, 6, 3
     m = _random_module(gen, d, r, cfg)
     Z = gen.normals(B * d).reshape(B, d)
     U = gen.normals(B * d).reshape(B, d)
     _, cache = luca_forward_batch(Z, m, return_cache=True)
-    want = luca_backward_batch(m, cache, U)
+    inputs = [U, *m.matrices()] + [a for half in cache for a in half
+                                   if a is not None]
+    before = [a.tobytes() for a in inputs]
     flat = np.full(4 * d * r, np.nan)
-    got = luca_backward_batch(m, cache, U, out=flat)
-    assert got.d_input is None
-    assert np.array_equal(flat, np.concatenate(
-        [getattr(want, slot).ravel() for slot in _SLOTS]))
-    for slot, view in zip(_SLOTS, matrix_views(flat, d, r)):
-        assert getattr(got, slot).base is flat
-        assert np.array_equal(getattr(got, slot), view)
-    # the call with ``out`` left the cache for the next one
-    again = luca_backward_batch(m, cache, U)
-    for slot in _SLOTS + ("d_input",):
-        assert np.array_equal(getattr(again, slot), getattr(want, slot))
+    assert luca_backward_batch(m, cache, U, flat) is None
+    assert np.all(np.isfinite(flat))
+    assert [a.tobytes() for a in inputs] == before
+    again = np.full(4 * d * r, np.nan)
+    luca_backward_batch(m, cache, U, again)
+    assert again.tobytes() == flat.tobytes()
 
 
 def test_gradient_check_checks_the_gradients_written_into_out(monkeypatch):
@@ -327,11 +337,9 @@ def test_gradient_check_checks_the_gradients_written_into_out(monkeypatch):
     # training does: a fault confined to that path must not pass
     real = luca_backward_batch
 
-    def skewed(m, cache, U, out=None):
-        grads = real(m, cache, U, out=out)
-        if out is not None:
-            out *= 1.01
-        return grads
+    def skewed(m, cache, U, out):
+        real(m, cache, U, out)
+        out *= 1.01
 
     monkeypatch.setattr(tosca.luca, "luca_backward_batch", skewed)
     assert gradient_check(trials=4) > 1e-3
@@ -352,9 +360,8 @@ def test_upstream_zero_gives_zero_grads():
     m = init_luca(5, 2, rng_seed=7, dtype=np.float64)
     z = Xoshiro256StarStar(1).normals(5)[None, :]
     _, cache = luca_forward_batch(z, m, return_cache=True)
-    g = luca_backward_batch(m, cache, np.zeros((1, 5)))
-    for slot in _SLOTS + ("d_input",):
-        assert np.array_equal(getattr(g, slot), np.zeros_like(getattr(g, slot)))
+    for g in _backward(m, cache, np.zeros((1, 5))).values():
+        assert np.array_equal(g, np.zeros_like(g))
 
 
 def test_dead_relu_bottleneck_blocks_w_up_grad():
@@ -364,9 +371,9 @@ def test_dead_relu_bottleneck_blocks_w_up_grad():
                    v_down=np.zeros((3, 2)), v_up=np.zeros((2, 3)))
     z = np.array([[1.0, 1.0, 1.0]])  # pre-activations all -3: relu dead
     _, cache = luca_forward_batch(z, m, return_cache=True)
-    g = luca_backward_batch(m, cache, np.ones((1, 3)))
-    assert np.array_equal(g.w_up, np.zeros((2, 3)))
-    assert np.array_equal(g.w_down, np.zeros((3, 2)))
+    g = _backward(m, cache, np.ones((1, 3)))
+    assert np.array_equal(g["w_up"], np.zeros((2, 3)))
+    assert np.array_equal(g["w_down"], np.zeros((3, 2)))
 
 
 def test_gradient_check_refuses_zero_trials():
@@ -433,26 +440,33 @@ def test_batch_forward_computes_in_its_rows_dtype(monkeypatch):
         m64 = replace(m, **{k: getattr(m, k).astype(np.float64)
                             for k in ("w_down", "w_up", "v_down", "v_up")})
         assert np.array_equal(luca_forward_batch(Z32, m64), out32)
-        g32 = luca_backward_batch(m, cache, U32)
-        flat32 = np.empty(4 * 9 * 3, dtype=np.float32)
-        luca_backward_batch(m, cache, U32, out=flat32)
-        g64 = luca_backward_batch(m, cache64, U32.astype(np.float64))
-        for slot, view in zip(_SLOTS, matrix_views(flat32, 9, 3)):
-            assert getattr(g32, slot).dtype == np.float32
-            assert np.array_equal(view, getattr(g32, slot))
-            assert getattr(g64, slot).dtype == np.float64
-            np.testing.assert_allclose(getattr(g32, slot), getattr(g64, slot),
+        # every array the backward flushes is in the upstream's dtype
+        flushed = []
+        real_flush = tosca.luca.flush_subnormals
+
+        def flush(a):
+            flushed.append(a.dtype)
+            return real_flush(a)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(tosca.luca, "flush_subnormals", flush)
+            g32 = _backward(m, cache, U32)
+            assert flushed and set(flushed) == {np.dtype(np.float32)}
+            flushed.clear()
+            g64 = _backward(m, cache64, U32.astype(np.float64))
+            assert flushed and set(flushed) == {np.dtype(np.float64)}
+        for slot in _SLOTS:
+            assert g32[slot].dtype == np.float32
+            assert g64[slot].dtype == np.float64
+            np.testing.assert_allclose(g32[slot], g64[slot],
                                        rtol=1e-4, atol=1e-6)
-        assert g32.d_input.dtype == np.float32
-        assert g64.d_input.dtype == np.float64
     # the built-in check still runs its backward in float64
     upstreams = []
     real = luca_backward_batch
 
-    def spy(m, cache, U, out=None):
-        grads = real(m, cache, U, out=out)
-        upstreams.append(U.dtype == grads.w_down.dtype == np.float64)
-        return grads
+    def spy(m, cache, U, out):
+        real(m, cache, U, out)
+        upstreams.append(U.dtype == out.dtype == np.float64)
 
     monkeypatch.setattr(tosca.luca, "luca_backward_batch", spy)
     assert gradient_check(trials=2) <= 1e-4
@@ -468,18 +482,16 @@ def test_batch_backward_sums_per_sample_grads():
         m = init_luca(6, 2, config=cfg, rng_seed=31, dtype=np.float64)
         m.w_up[:] = Xoshiro256StarStar(32).normals(12).reshape(2, 6) * 0.2
         _, cache = luca_forward_batch(Z, m, return_cache=True)
-        got = luca_backward_batch(m, cache, U)
+        got = _backward(m, cache, U)
         want = {slot: np.zeros_like(getattr(m, slot)) for slot in _SLOTS}
         for i in range(4):
             gi = luca_backward(Z[i], m, U[i])
             _, row_cache = luca_forward_batch(Z[i:i + 1], m, return_cache=True)
-            row = luca_backward_batch(m, row_cache, U[i:i + 1])
+            row = _backward(m, row_cache, U[i:i + 1])
             for slot in _SLOTS:
                 want[slot] += getattr(gi, slot)
-                assert np.allclose(getattr(row, slot), getattr(gi, slot),
+                assert np.allclose(row[slot], getattr(gi, slot),
                                    rtol=1e-10, atol=1e-12)
-            assert np.allclose(row.d_input[0], gi.d_input, rtol=1e-10, atol=1e-12)
-            assert np.allclose(got.d_input[i], gi.d_input, rtol=1e-10, atol=1e-12)
         for slot in _SLOTS:
-            assert np.allclose(getattr(got, slot), want[slot],
+            assert np.allclose(got[slot], want[slot],
                                rtol=1e-10, atol=1e-12)
