@@ -47,6 +47,7 @@ two switches as ``portable_env`` does, and says why in CHANGES.md.
 """
 
 import ast
+import functools
 import hashlib
 import json
 import os
@@ -228,13 +229,8 @@ def _headline_runs(case: str, request):
 @pytest.fixture(scope="module")
 def native(request):
     """``case`` -> its digests in this process, computed once per case."""
-    memo = {}
-
-    def get(case):
-        if case not in memo:
-            memo[case] = digests(case, _headline_runs(case, request))
-        return memo[case]
-    return get
+    return functools.cache(
+        lambda case: digests(case, _headline_runs(case, request)))
 
 
 @pytest.fixture(scope="module")
