@@ -467,6 +467,16 @@ def test_synth_refuses_a_bad_value(tmp_path, capsys, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+def _scenario_argv(command, data, test, tmp_path):
+    # a one-epoch run, or a one-cell sweep that writes into tmp_path
+    argv = [command, "--data", str(data), "--test", str(test),
+            "--inc", "2", "--epochs", "1"]
+    if command == "sweep":
+        argv += ["--lambdas", "0", "--rs", "4",
+                 "--out", str(tmp_path / "sweep.csv")]
+    return argv
+
+
 def _malformed_feature_file(tmp_path, bench, kind):
     """A path whose file is ``kind``: absent, a directory, or bytes that
     ``load_features`` refuses."""
@@ -502,13 +512,10 @@ def test_run_and_sweep_refuse_a_malformed_feature_file(
         bench, tmp_path, capsys, command, flag, kind):
     path = _malformed_feature_file(tmp_path, bench, kind)
     files = {"--data": f"{bench}.train.ftr", "--test": f"{bench}.test.ftr",
-             flag: str(path)}
-    argv = [command, "--data", files["--data"], "--test", files["--test"],
-            "--inc", "2", "--epochs", "1"]
-    if command == "sweep":
-        argv += ["--lambdas", "0", "--rs", "4",
-                 "--out", str(tmp_path / "sweep.csv")]
-    _refused(capsys, argv, _FEATURE_REFUSALS[kind].format(path=path))
+             flag: path}
+    _refused(capsys, _scenario_argv(command, files["--data"], files["--test"],
+                                    tmp_path),
+             _FEATURE_REFUSALS[kind].format(path=path))
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -521,13 +528,10 @@ def test_run_and_sweep_refuse_a_test_set_that_does_not_fit(
         bench, tmp_path, capsys, command, synth, message):
     other = tmp_path / "other"
     assert main(_synth_args(other) + synth) == 0
-    argv = [command, "--data", f"{bench}.train.ftr",
-            "--test", f"{other}.test.ftr", "--inc", "2", "--epochs", "1"]
-    if command == "sweep":
-        argv += ["--lambdas", "0", "--rs", "4",
-                 "--out", str(tmp_path / "sweep.csv")]
     capsys.readouterr()
-    _refused(capsys, argv, message)
+    _refused(capsys, _scenario_argv(command, f"{bench}.train.ftr",
+                                    f"{other}.test.ftr", tmp_path), message)
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):
