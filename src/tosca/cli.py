@@ -203,8 +203,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, FloatingPointError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, FloatingPointError, RuntimeError,
+            MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

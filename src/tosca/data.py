@@ -130,13 +130,15 @@ def synth_gaussian(d: int, num_classes: int, n_train: int, n_test: int,
     the sphere.  Samples come out class-major: all of class 0, then class
     1, and so on.
     """
-    if d < 2 or num_classes < 2 or n_train < 1 or n_test < 1:
-        raise ValueError("invalid parameters")
+    for name, value, least in (("d", d, 2), ("num_classes", num_classes, 2),
+                               ("n_train", n_train, 1), ("n_test", n_test, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, not {value}")
     for name, value in (("separation", separation), ("sigma", sigma)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, not {value}")
-    if separation <= 0.0 or sigma <= 0.0:
-        raise ValueError("invalid parameters")
+        if value <= 0.0:
+            raise ValueError(f"{name} must be positive, not {value}")
     mean_gen = Xoshiro256StarStar(seed, stream=0)
     train_gen = Xoshiro256StarStar(seed, stream=1)
     test_gen = Xoshiro256StarStar(seed, stream=2)
@@ -222,20 +224,24 @@ def read_container(path, magic: bytes, header: struct.Struct, version: int,
 
 
 def load_features(path, name: str | None = None) -> FeatureDataset:
-    blob, off, (d, n) = read_container(path, MAGIC, _HEAD, FORMAT_VERSION,
-                                       "feature")
-    if d < 1 or d > MAX_DIM:
-        raise ValueError("not a feature file")
-    record = _record(d)
-    need = n * record.itemsize
-    if len(blob) - off < need:
-        raise ValueError("unexpected end of file")
-    if len(blob) - off > need:
-        raise ValueError(
-            f"trailing bytes after the last record: {len(blob) - off - need}")
-    packed = np.frombuffer(blob, dtype=record, count=n, offset=off)
-    if not np.all(np.isfinite(packed["feat"])):
-        raise ValueError("non-finite feature values")
+    """Read a feature file; each ``ValueError`` it raises names ``path``."""
+    try:
+        blob, off, (d, n) = read_container(path, MAGIC, _HEAD,
+                                           FORMAT_VERSION, "feature")
+        if d < 1 or d > MAX_DIM:
+            raise ValueError("not a feature file")
+        record = _record(d)
+        need = n * record.itemsize
+        if len(blob) - off < need:
+            raise ValueError("unexpected end of file")
+        if len(blob) - off > need:
+            raise ValueError("trailing bytes after the last record: "
+                             f"{len(blob) - off - need}")
+        packed = np.frombuffer(blob, dtype=record, count=n, offset=off)
+        if not np.all(np.isfinite(packed["feat"])):
+            raise ValueError("non-finite feature values")
+    except ValueError as exc:
+        raise ValueError(f"features {path}: {exc}") from None
     if name is None:
         name = str(path)
     return FeatureDataset(name=name, features=packed["feat"].copy(),

@@ -68,7 +68,7 @@ from .data import FeatureDataset, SplitPlan, read_container, replace_file
 from .heads import (SessionHead, build_prototypes, extend_head, head_forward,
                     head_forward_batch, make_head, prototype_classify_batch)
 from .luca import (LucaConfig, LucaModule, init_luca, luca_forward,
-                   luca_forward_batch, matrix_views, param_count)
+                   luca_forward_batch, param_count)
 from .numerics import ACTIVATIONS, softmax_rows
 from .optim import OptimConfig, train_epochs
 from .rng import Xoshiro256StarStar, derive_seeds
@@ -861,8 +861,8 @@ def _entry_bytes(entry: BankEntry) -> bytes:
     parts = [struct.pack("<II", entry.session_index, head.num_classes),
              bytes(v.index(getattr(m.config, f)) for f, v in _CONFIG_CODES)]
     parts.append(struct.pack(f"<{head.num_classes}I", *head.class_ids))
-    for mat in (*m.matrices(), head.w):
-        parts.append(np.ascontiguousarray(mat, dtype="<f4").tobytes())
+    for arr in (m.params, head.w):
+        parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     return b"".join(parts)
 
 
@@ -930,8 +930,7 @@ def load_bank(path) -> ModuleBank:
             if code >= len(values):
                 raise ValueError(f"unknown {name} code {code}")
             config[name] = values[code]
-        module = LucaModule(d, r, *matrix_views(floats[:n], d, r),
-                            config=LucaConfig(**config))
+        module = LucaModule(d, r, floats[:n], config=LucaConfig(**config))
         head = SessionHead(class_ids=class_ids, w=floats[n:].reshape(d, k))
         bank.append(BankEntry(session_index=session_index, module=module,
                               head=head))

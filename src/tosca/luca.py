@@ -10,6 +10,9 @@ Shapes (z is a row vector of length d, r << d):
 The gate's ``+ 1`` residual is optional (``gate_residual``); the default is
 the plain multiplicative form.  There are no bias terms anywhere.
 
+A module's weights are one vector, ``LucaModule.params``, laid out by
+``matrix_views``; its four matrices are views of it.
+
 ``luca_forward_batch`` and ``luca_backward_batch`` are the passes;
 ``luca_forward`` scores one sample as a one-row batch.  A training forward
 (``return_cache=True``) keeps, beside each half's pre-activation, what its
@@ -58,45 +61,44 @@ class LucaConfig:
 
 @dataclass
 class LucaModule:
+    """``params`` holds the 4*d*r weights, laid out by ``matrix_views``; the
+    read-only ``w_down``, ``w_up``, ``v_down`` and ``v_up`` are views of it."""
     d: int
     r: int
-    w_down: np.ndarray  # d x r
-    w_up: np.ndarray  # r x d
-    v_down: np.ndarray  # d x r
-    v_up: np.ndarray  # r x d
+    params: np.ndarray
     config: LucaConfig = field(default_factory=LucaConfig)
+
+    w_down = property(lambda self: self.matrices()[0])
+    w_up = property(lambda self: self.matrices()[1])
+    v_down = property(lambda self: self.matrices()[2])
+    v_up = property(lambda self: self.matrices()[3])
 
     def __post_init__(self):
         if self.d < 1 or self.r < 1:
             raise ValueError("dimensions must be positive")
-        expect = {
-            "w_down": (self.d, self.r),
-            "w_up": (self.r, self.d),
-            "v_down": (self.d, self.r),
-            "v_up": (self.r, self.d),
-        }
-        for name, shape in expect.items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+        shape = (4 * self.d * self.r,)
+        if self.params.shape != shape:
+            raise ValueError(f"params has shape {self.params.shape}, "
+                             f"expected {shape}")
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("params contains non-finite entries")
 
     @property
     def param_count(self) -> int:
-        return self.w_down.size + self.w_up.size + self.v_down.size + self.v_up.size
+        return self.params.size
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.w_down, self.w_up, self.v_down, self.v_up
+        return matrix_views(self.params, self.d, self.r)
 
     def flat_params(self) -> np.ndarray:
-        """All trainable entries as one float64 vector (W_down, W_up, V_down, V_up)."""
-        return np.concatenate([m.astype(np.float64).ravel() for m in self.matrices()])
+        """A float64 copy of ``params``."""
+        return self.params.astype(np.float64)
 
 
 def matrix_views(flat: np.ndarray, d: int, r: int):
-    """(W_down, W_up, V_down, V_up) as views of one vector of 4*d*r entries
-    laid out as ``flat_params``: writing a view writes the vector."""
+    """(W_down, W_up, V_down, V_up), each row-major, as views of one vector
+    of 4*d*r entries: the layout of ``LucaModule.params``, of training's
+    gradient vector and of a bank entry.  Writing a view writes the vector."""
     n = d * r
     return (flat[:n].reshape(d, r), flat[n:2 * n].reshape(r, d),
             flat[2 * n:3 * n].reshape(d, r), flat[3 * n:].reshape(r, d))
@@ -114,12 +116,9 @@ def init_luca(d: int, r: int, config: LucaConfig | None = None, rng_seed: int = 
         raise ValueError("dimensions must be positive")
     config = config or LucaConfig()
     draws = Xoshiro256StarStar(rng_seed).normals(3 * d * r, std=INIT_STD)
-    w_down = draws[:d * r].reshape(d, r).astype(dtype)
-    v_down = draws[d * r:2 * d * r].reshape(d, r).astype(dtype)
-    v_up = draws[2 * d * r:].reshape(r, d).astype(dtype)
-    w_up = np.zeros((r, d), dtype=dtype)
-    return LucaModule(d=d, r=r, w_down=w_down, w_up=w_up, v_down=v_down, v_up=v_up,
-                      config=config)
+    n = d * r
+    params = np.concatenate([draws[:n], np.zeros(n), draws[n:]], dtype=dtype)
+    return LucaModule(d=d, r=r, params=params, config=config)
 
 
 def luca_forward(z, m: LucaModule) -> np.ndarray:
@@ -207,9 +206,9 @@ def _calibrator_grads(cache, vd, vu, cfg: LucaConfig, dOut, d_vd, d_vu,
 
 
 def _matrices_as(m: LucaModule, dtype):
-    # (W_down, W_up, V_down, V_up) in dtype; matrices already in it are not
+    # (W_down, W_up, V_down, V_up) in dtype; params already in it is not
     # copied
-    return tuple(np.asarray(a, dtype=dtype) for a in m.matrices())
+    return matrix_views(np.asarray(m.params, dtype=dtype), m.d, m.r)
 
 
 def luca_forward_batch(Z: np.ndarray, m: LucaModule, return_cache: bool = False):
@@ -241,7 +240,7 @@ def luca_backward_batch(m: LucaModule, cache, U: np.ndarray,
                         out: np.ndarray) -> None:
     """Write the batch-summed weight gradients of
     sum(U * luca_forward_batch(Z)), given the forward's cache, into ``out``:
-    a vector of 4*d*r entries in ``flat_params`` order, each matrix in its
+    a vector of 4*d*r entries laid out as ``m.params``, each matrix in its
     ``matrix_views`` slice.  It computes in ``float_array(U)``'s dtype,
     which should be the cache's and ``out``'s.  Only the half that runs
     first computes its input gradient, which is the other half's upstream;
@@ -286,10 +285,8 @@ def l1_norm(m: LucaModule) -> float:
 
 def sparsity_ratio(m: LucaModule, threshold: float) -> float:
     """Fraction of entries with |entry| <= threshold (threshold 0 counts exact zeros)."""
-    total = m.param_count
-    small = sum(int((np.abs(mat.astype(np.float64)) <= threshold).sum())
-                for mat in m.matrices())
-    return small / total
+    small = int((np.abs(m.flat_params()) <= threshold).sum())
+    return small / m.param_count
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +320,10 @@ def gradient_check(trials: int = 20, d_max: int = 16, r_max: int = 4,
                          gate_residual=bool(trial % 2), reversed=bool((trial // 2) % 2))
         d = 2 + gen.below(d_max - 1)
         r = 1 + gen.below(r_max)
-        flat = gen.normals(4 * d * r, std=0.5)
-        m = LucaModule(d, r, *matrix_views(flat, d, r), config=cfg)
+        m = LucaModule(d, r, gen.normals(4 * d * r, std=0.5), config=cfg)
         Z, cache = _sample_away_from_kinks(gen, m)
         U = gen.normals(_CHECK_ROWS * d).reshape(_CHECK_ROWS, d)
-        worst = max(worst, _module_fd_error(Z, cache, m, flat, U, h))
+        worst = max(worst, _module_fd_error(Z, cache, m, U, h))
     return worst
 
 
@@ -347,9 +343,10 @@ def _sample_away_from_kinks(gen, m, margin: float = 1e-6, attempts: int = 200):
     raise RuntimeError("could not sample inputs away from relu kinks")
 
 
-def _module_fd_error(Z, cache, m: LucaModule, flat, U, h: float) -> float:
-    # m's matrices view ``flat``; the gradients, written into one vector
-    # laid out as ``flat``, against central differences over its entries
+def _module_fd_error(Z, cache, m: LucaModule, U, h: float) -> float:
+    # the gradients, written into one vector laid out as ``m.params``,
+    # against central differences over its entries
+    flat = m.params
     grad = np.empty_like(flat)
     luca_backward_batch(m, cache, U, grad)
     worst = 0.0

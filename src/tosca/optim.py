@@ -2,15 +2,14 @@
 
 Training computes in float32, the dtype of the weights and features; only
 the small (B, K) logits go up to float64, for the softmax and the
-cross-entropy.  ``train_epochs`` steps the module's four matrices as one
-flat float32 vector, laid out as ``LucaModule.flat_params``: the forward
-reads it through ``luca.matrix_views``, the backward writes each weight
-gradient into its view of one flat gradient vector, and one
-``sgd_l1_step`` call updates all four.  The head is stepped in place.  The
-module's own arrays receive the vector at each epoch end, before the loss
-and the divergence check read them.  The logit gradients are flushed of
-subnormals (``numerics.flush_subnormals``).  The L1 term touches only the
-four matrices, never the head.  Two L1 modes:
+cross-entropy.  ``train_epochs`` steps the module's float32 vector
+``LucaModule.params`` in place: the forward reads its four matrices
+through ``luca.matrix_views``, the backward writes each weight gradient
+into its view of one gradient vector laid out the same way, and one
+``sgd_l1_step`` call updates all four.  The head is stepped in place too.
+The logit gradients are flushed of subnormals
+(``numerics.flush_subnormals``).  The L1 term touches only the four
+matrices, never the head.  Two L1 modes:
 
   subgradient   theta <- theta - lr * (g + lam * sign(theta)), sign(0) = 0
   proximal      theta <- soft_threshold(theta - lr * g, lr * lam)
@@ -19,14 +18,14 @@ four matrices, never the head.  Two L1 modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import FeatureDataset
 from .heads import SessionHead
 from .luca import (LucaModule, l1_norm, luca_backward_batch,
-                   luca_forward_batch, matrix_views)
+                   luca_forward_batch)
 from .numerics import float_array, flush_subnormals, softmax_rows
 from .rng import Xoshiro256StarStar
 
@@ -145,11 +144,10 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
     warnings on the way there are silenced.  With epochs=0 nothing moves
     and the trace is empty.  Returns the (mutated) module and head plus the
     trace.
-    The four matrices and the head must be float32: training computes in
+    ``module.params`` and ``head.w`` must be float32: training computes in
     float32, so any other dtype raises ``ValueError``.
     """
-    mats = ["w_down", "w_up", "v_down", "v_up"]
-    for name, arr in zip(mats + ["head.w"], module.matrices() + (head.w,)):
+    for name, arr in (("params", module.params), ("head.w", head.w)):
         if arr.dtype != np.float32:
             raise ValueError(f"{name} is {arr.dtype}; training needs "
                              "float32 weights")
@@ -166,14 +164,11 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
     batches = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = batches * cfg.epochs
 
-    # the four matrices as one vector, which the forward reads through views
-    d, r = module.d, module.r
-    flat = np.concatenate([m.ravel() for m in module.matrices()])
-    work = replace(module, **dict(zip(mats, matrix_views(flat, d, r))))
-    grad = np.empty_like(flat)
+    params = module.params
+    grad = np.empty_like(params)
     d_head = np.empty_like(head.w)
     momentum = cfg.momentum > 0.0
-    vel = np.zeros_like(flat) if momentum else None
+    vel = np.zeros_like(params) if momentum else None
     vel_head = np.zeros_like(head.w) if momentum else None
 
     step = 0
@@ -184,7 +179,7 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
         for b in range(batches):
             idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             lr = cosine_lr(step, total_steps, cfg)
-            epoch_ce += _batch_loss_grads(work, head.w, Z[idx], y_cols[idx],
+            epoch_ce += _batch_loss_grads(module, head.w, Z[idx], y_cols[idx],
                                           grad, d_head)
             g, g_head = grad, d_head
             if momentum:
@@ -193,15 +188,13 @@ def train_epochs(module: LucaModule, head: SessionHead, data: FeatureDataset,
                 vel_head *= cfg.momentum
                 vel_head += d_head
                 g, g_head = vel, vel_head
-            flat[...] = sgd_l1_step(flat, g, lr, cfg.lambda_l1, cfg.l1_mode)
+            params[...] = sgd_l1_step(params, g, lr, cfg.lambda_l1, cfg.l1_mode)
             head.w -= lr * g_head
             step += 1
-        for cur, view in zip(module.matrices(), matrix_views(flat, d, r)):
-            cur[...] = view
         loss = epoch_ce / n + cfg.lambda_l1 * l1_norm(module)
         if not math.isfinite(loss):
             raise FloatingPointError(f"training diverged in epoch {epoch}")
         trace.append(loss)
-    if not all(np.isfinite(a).all() for a in (flat, head.w)):
+    if not all(np.isfinite(a).all() for a in (params, head.w)):
         raise FloatingPointError("training diverged")
     return module, head, trace

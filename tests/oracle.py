@@ -14,6 +14,8 @@
   computes with numpy passes.
 * ``polymul``: GF(2) polynomial multiplication modulo a polynomial, one bit
   at a time, which ``rng`` computes with byte tables for its jump-ahead.
+* ``module_of``: a module built from its four matrices, which the package
+  holds as one vector.
 * ``train_epochs_reference``: the training loop in float32, with only the
   (B, K) softmax in float64.  Each step runs a batched forward and a
   backward that evaluates every activation derivative afresh on the
@@ -27,13 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tosca.luca import LucaModule, l1_norm
+from tosca.luca import LucaConfig, LucaModule, l1_norm
 from tosca.numerics import activation, activation_grad, softmax_rows, vecmat
 from tosca.optim import cosine_lr, sgd_l1_step
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
 _U64 = (1 << 64) - 1
+
+
+def module_of(w_down, w_up, v_down, v_up, config=None) -> LucaModule:
+    """A module whose ``params`` is a copy of the four matrices, raveled
+    in the order given; d and r are W_down's shape."""
+    d, r = np.shape(w_down)
+    params = np.concatenate([np.ravel(a) for a in (w_down, w_up, v_down, v_up)])
+    return LucaModule(d, r, params, config or LucaConfig())
 
 
 def fnv1a(data: bytes) -> int:

@@ -456,14 +456,38 @@ def test_report_names_a_file_that_is_not_utf8_json(tmp_path, capsys, data,
     assert not (tmp_path / "o.csv").exists()
 
 
-@pytest.mark.parametrize("flag", [
-    "--d 0", "--d=-2", "--classes 0", "--classes 1", "--train-per-class 0",
-    "--test-per-class 0", "--sigma 0", "--sigma=-1", "--separation 0",
-    "--separation=-1",
+@pytest.mark.parametrize("flag, message", [
+    ("--d 0", "d must be at least 2, not 0"),
+    ("--d=-2", "d must be at least 2, not -2"),
+    ("--classes 0", "num_classes must be at least 2, not 0"),
+    ("--classes 1", "num_classes must be at least 2, not 1"),
+    ("--train-per-class 0", "n_train must be at least 1, not 0"),
+    ("--test-per-class 0", "n_test must be at least 1, not 0"),
+    ("--sigma 0", "sigma must be positive, not 0.0"),
+    ("--sigma=-1", "sigma must be positive, not -1.0"),
+    ("--separation 0", "separation must be positive, not 0.0"),
+    ("--separation=-1", "separation must be positive, not -1.0"),
 ])
-def test_synth_refuses_a_bad_value(tmp_path, capsys, flag):
+def test_synth_refuses_a_bad_value(tmp_path, capsys, flag, message):
     prefix = tmp_path / "bad"
-    _refused(capsys, _synth_args(prefix) + flag.split(), "invalid parameters")
+    _refused(capsys, _synth_args(prefix) + flag.split(), message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 36.4 TiB for an array"),
+     "Unable to allocate 36.4 TiB for an array"),
+    (MemoryError(), "MemoryError"),
+])
+def test_a_request_too_large_to_allocate_is_one_error_line(
+        tmp_path, monkeypatch, capsys, exc, message):
+    # stands in for ``tosca synth --d 100000000000``, which asks numpy for
+    # tens of TiB: a host that overcommits memory could grant that
+    def too_large(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(tosca.cli, "synth_gaussian", too_large)
+    _refused(capsys, _synth_args(tmp_path / "big"), message)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -498,10 +522,10 @@ _FEATURE_REFUSALS = {
                                                   os.strerror(errno.ENOENT)),
     "directory": "[Errno {}] {}: '{{path}}'".format(errno.EISDIR,
                                                     os.strerror(errno.EISDIR)),
-    "empty": "not a feature file",
-    "junk": "not a feature file",
-    "report": "not a feature file",
-    "truncated": "unexpected end of file",
+    "empty": "features {path}: not a feature file",
+    "junk": "features {path}: not a feature file",
+    "report": "features {path}: not a feature file",
+    "truncated": "features {path}: unexpected end of file",
 }
 
 

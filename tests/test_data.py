@@ -225,16 +225,18 @@ def test_golden_stream_with_a_spare_pending():
 
 
 def test_synth_rejects_bad_parameters():
-    for kwargs in (
-        dict(d=1, num_classes=2, n_train=1, n_test=1, separation=1.0, sigma=1.0),
-        dict(d=2, num_classes=1, n_train=1, n_test=1, separation=1.0, sigma=1.0),
-        dict(d=2, num_classes=2, n_train=0, n_test=1, separation=1.0, sigma=1.0),
-        dict(d=2, num_classes=2, n_train=1, n_test=0, separation=1.0, sigma=1.0),
-        dict(d=2, num_classes=2, n_train=1, n_test=1, separation=0.0, sigma=1.0),
-        dict(d=2, num_classes=2, n_train=1, n_test=1, separation=1.0, sigma=-1.0),
+    good = dict(d=2, num_classes=2, n_train=1, n_test=1, separation=1.0,
+                sigma=1.0)
+    for name, value, message in (
+        ("d", 1, "d must be at least 2, not 1"),
+        ("num_classes", 1, "num_classes must be at least 2, not 1"),
+        ("n_train", 0, "n_train must be at least 1, not 0"),
+        ("n_test", 0, "n_test must be at least 1, not 0"),
+        ("separation", 0.0, "separation must be positive, not 0.0"),
+        ("sigma", -1.0, "sigma must be positive, not -1.0"),
     ):
-        with pytest.raises(ValueError, match="invalid parameters"):
-            synth_gaussian(seed=1, **kwargs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synth_gaussian(seed=1, **{**good, name: value})
 
 
 @pytest.mark.parametrize("name", ["separation", "sigma"])

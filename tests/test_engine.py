@@ -22,8 +22,7 @@ from tosca.engine import (BANK_MAGIC, BankEntry, ModuleBank, ScenarioConfig,
                           predict_batch, route, run_scenario, save_bank,
                           train_session)
 from tosca.heads import SessionHead, head_forward_batch, make_head
-from tosca.luca import (LucaConfig, LucaModule, init_luca, luca_forward_batch,
-                        param_count)
+from tosca.luca import LucaConfig, init_luca, luca_forward_batch, param_count
 from tosca.numerics import ACTIVATIONS
 from tosca.optim import OptimConfig, train_epochs
 from tosca.rng import Xoshiro256StarStar, derive_seeds
@@ -366,12 +365,8 @@ def test_appending_a_duplicate_module_changes_nothing():
     clone_src = bank.entries[0]
     clone = BankEntry(
         session_index=len(bank) + 1,
-        module=LucaModule(d=clone_src.module.d, r=clone_src.module.r,
-                          w_down=clone_src.module.w_down.copy(),
-                          w_up=clone_src.module.w_up.copy(),
-                          v_down=clone_src.module.v_down.copy(),
-                          v_up=clone_src.module.v_up.copy(),
-                          config=clone_src.module.config),
+        module=replace(clone_src.module,
+                       params=clone_src.module.params.copy()),
         head=SessionHead(class_ids=tuple(c + 100 for c in clone_src.class_ids),
                          w=clone_src.head.w.copy()))
     bank.append(clone)
@@ -775,25 +770,20 @@ def test_module_orthogonality_extremes():
     e1 = _entry(1, d, (0, 1), seed=9)
     bank.append(e1)
     twin = BankEntry(session_index=2,
-                     module=LucaModule(d=d, r=e1.module.r,
-                                       w_down=e1.module.w_down.copy(),
-                                       w_up=e1.module.w_up.copy(),
-                                       v_down=e1.module.v_down.copy(),
-                                       v_up=e1.module.v_up.copy(),
-                                       config=e1.module.config),
+                     module=replace(e1.module, params=e1.module.params.copy()),
                      head=make_head(d, (2, 3)))
     bank.append(twin)
     assert module_orthogonality(bank) == pytest.approx(1.0, abs=1e-12)
 
     disjoint = ModuleBank(2)
-    m1 = LucaModule(d=2, r=1, w_down=np.array([[1.0], [0.0]], dtype=np.float32),
-                    w_up=np.zeros((1, 2), dtype=np.float32),
-                    v_down=np.zeros((2, 1), dtype=np.float32),
-                    v_up=np.zeros((1, 2), dtype=np.float32))
-    m2 = LucaModule(d=2, r=1, w_down=np.zeros((2, 1), dtype=np.float32),
-                    w_up=np.array([[0.0, 1.0]], dtype=np.float32),
-                    v_down=np.zeros((2, 1), dtype=np.float32),
-                    v_up=np.zeros((1, 2), dtype=np.float32))
+    m1 = oracle.module_of(np.array([[1.0], [0.0]], dtype=np.float32),
+                          np.zeros((1, 2), dtype=np.float32),
+                          np.zeros((2, 1), dtype=np.float32),
+                          np.zeros((1, 2), dtype=np.float32))
+    m2 = oracle.module_of(np.zeros((2, 1), dtype=np.float32),
+                          np.array([[0.0, 1.0]], dtype=np.float32),
+                          np.zeros((2, 1), dtype=np.float32),
+                          np.zeros((1, 2), dtype=np.float32))
     disjoint.append(BankEntry(1, m1, make_head(2, (0,))))
     disjoint.append(BankEntry(2, m2, make_head(2, (1,))))
     assert module_orthogonality(disjoint) == 0.0
@@ -963,8 +953,7 @@ def test_a_loaded_module_trains_as_init_through_a_copy(tmp_path):
         assert a.dtype == np.float32 and a.flags.writeable
         assert not np.shares_memory(a, b)
     # the same session as one trained from a float32 copy of the module
-    copied = replace(loaded, **dict(zip(
-        ("w_down", "w_up", "v_down", "v_up"), before)))
+    copied = oracle.module_of(*before, loaded.config)
     from_copy = train_session(ModuleBank(16), train, (2, 3), _FAST, seed=6,
                               init=copied)
     assert (entry_checksum(from_loaded.entries[0])
@@ -979,12 +968,12 @@ def test_serving_a_loaded_bank_copies_no_weights_or_rows(tmp_path,
     bank = load_bank(tmp_path / "bank.luca")
     # not reversed: each forward's first matmul is the adapter's
     assert not any(e.module.config.reversed for e in bank.entries)
-    matrices = []  # (the module's matrices, what the forward multiplies by)
+    matrices = []  # (the module's params, what the forward multiplies by)
     matrices_as = tosca.luca._matrices_as
 
     def spy_matrices(m, dtype):
         out = matrices_as(m, dtype)
-        matrices.append((m.matrices(), out))
+        matrices.append((m.params, out))
         return out
 
     rows = []  # the rows each forward's first matmul reads
@@ -1014,7 +1003,7 @@ def test_serving_a_loaded_bank_copies_no_weights_or_rows(tmp_path,
     predict_batch(test.features, bank)
     assert len(matrices) == len(heads) == len(rows) == 2 * len(bank)
     for own, used in matrices:
-        assert all(u is o for u, o in zip(used, own))
+        assert all(np.shares_memory(u, own) for u in used)
     for w, used in heads:
         assert np.shares_memory(used, w)
     for X in rows:

@@ -5,6 +5,8 @@ from scratch (copy-and-perturb over a flat parameter vector), separate from
 the library's own self-check, so the two cannot share a bug.
 """
 
+import copy
+import pickle
 import time
 from dataclasses import replace
 
@@ -12,7 +14,8 @@ import numpy as np
 import pytest
 
 import tosca.luca
-from oracle import adapter_forward, calibrator_forward, luca_backward
+from oracle import (adapter_forward, calibrator_forward, luca_backward,
+                    module_of)
 from tosca.luca import (LucaConfig, LucaModule, gradient_check, init_luca,
                         l1_norm, layerwise_adapter_count, luca_backward_batch,
                         luca_forward, luca_forward_batch, matrix_views,
@@ -23,14 +26,11 @@ from tosca.rng import Xoshiro256StarStar
 
 def _worked_module(**cfg_kw):
     cfg = LucaConfig(adapter_act="relu", gate_act="relu", **cfg_kw)
-    return LucaModule(
-        d=2, r=1,
-        w_down=np.array([[1.0], [0.0]]),
-        w_up=np.array([[1.0, 1.0]]),
-        v_down=np.array([[1.0], [1.0]]),
-        v_up=np.array([[0.5, 0.5]]),
-        config=cfg,
-    )
+    return module_of(w_down=np.array([[1.0], [0.0]]),
+                     w_up=np.array([[1.0, 1.0]]),
+                     v_down=np.array([[1.0], [1.0]]),
+                     v_up=np.array([[0.5, 0.5]]),
+                     config=cfg)
 
 
 def test_adapter_worked_example():
@@ -97,7 +97,8 @@ def test_zero_gate_without_residual_kills_output():
 def test_adapter_identity_when_up_is_zero():
     # W_up is zero at init: the output cannot depend on W_down
     m = init_luca(8, 2, rng_seed=5)
-    other = replace(m, w_down=init_luca(8, 2, rng_seed=6).w_down)
+    other = module_of(init_luca(8, 2, rng_seed=6).w_down, m.w_up, m.v_down,
+                      m.v_up, m.config)
     z = Xoshiro256StarStar(6).normals(8)
     assert np.array_equal(luca_forward(z, m), luca_forward(z, other))
     assert np.allclose(luca_forward(z, m), calibrator_forward(z, m),
@@ -112,13 +113,42 @@ def test_input_validation():
         init_luca(0, 2)
     with pytest.raises(ValueError):
         LucaConfig(adapter_act="softplus")
-    with pytest.raises(ValueError, match="shape"):
-        LucaModule(d=3, r=1, w_down=np.zeros((3, 2)), w_up=np.zeros((1, 3)),
-                   v_down=np.zeros((3, 1)), v_up=np.zeros((1, 3)))
     with pytest.raises(ValueError, match="non-finite"):
-        LucaModule(d=2, r=1, w_down=np.array([[np.nan], [0.0]]),
-                   w_up=np.zeros((1, 2)), v_down=np.zeros((2, 1)),
-                   v_up=np.zeros((1, 2)))
+        LucaModule(2, 1, np.array([np.nan] + [0.0] * 7))
+
+
+@pytest.mark.parametrize("shape", [(23,), (25,), (0,), (4, 6), (24, 1)])
+def test_module_refuses_params_of_the_wrong_shape_by_name(shape):
+    want = r"^params has shape \(" + ", ".join(map(str, shape))
+    with pytest.raises(ValueError, match=want + r".*expected \(24,\)"):
+        LucaModule(d=3, r=2, params=np.zeros(shape))
+
+
+def test_the_four_matrices_are_views_of_params():
+    m = init_luca(6, 2, rng_seed=3)
+    m.w_up[1, 4] = 0.5
+    assert m.params[12 + 1 * 6 + 4] == np.float32(0.5)
+    for mat, want in zip(m.matrices(), matrix_views(m.params, 6, 2)):
+        assert np.shares_memory(mat, m.params)
+        assert np.array_equal(mat, want)
+    with pytest.raises(AttributeError):
+        m.w_down = np.zeros((6, 2), dtype=np.float32)
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_a_copied_module_views_its_own_params(how):
+    m = init_luca(6, 2, rng_seed=3)
+    if how == "deepcopy":
+        c = copy.deepcopy(m)
+    else:
+        c = pickle.loads(pickle.dumps(m))
+    assert vars(c).keys() == {"d", "r", "params", "config"}
+    assert not np.shares_memory(c.params, m.params)
+    assert c.params.tobytes() == m.params.tobytes()
+    for name in ("w_down", "w_up", "v_down", "v_up"):
+        assert np.shares_memory(getattr(c, name), c.params), name
+    c.v_up[...] = 1.0
+    assert np.all(c.params[-12:] == 1.0) and not np.any(m.params == 1.0)
 
 
 @pytest.mark.parametrize("value", ["yes", 1, 0, None])
@@ -133,9 +163,7 @@ def test_module_rejects_empty_dimensions():
     # a rank-0 module would save into a bank file that load_bank refuses
     for d, r in ((3, 0), (0, 2), (0, 0)):
         with pytest.raises(ValueError, match="dimensions must be positive"):
-            LucaModule(d=d, r=r, w_down=np.zeros((d, r)),
-                       w_up=np.zeros((r, d)), v_down=np.zeros((d, r)),
-                       v_up=np.zeros((r, d)))
+            LucaModule(d=d, r=r, params=np.zeros(4 * d * r))
 
 
 def test_init_is_deterministic_and_documented():
@@ -170,17 +198,15 @@ def test_parameter_accounting():
 
 
 def test_l1_norm_and_sparsity():
-    m = LucaModule(d=2, r=1,
-                   w_down=np.full((2, 1), 0.5), w_up=np.full((1, 2), -0.5),
-                   v_down=np.full((2, 1), 0.5), v_up=np.full((1, 2), 0.5))
+    m = module_of(np.full((2, 1), 0.5), np.full((1, 2), -0.5),
+                  np.full((2, 1), 0.5), np.full((1, 2), 0.5))
     assert l1_norm(m) == 4.0
     z = init_luca(6, 2, rng_seed=1)  # w_up zero, rest nonzero
     assert sparsity_ratio(z, 0.0) == pytest.approx(12 / 48)
     assert sparsity_ratio(z, 1.0) == 1.0
     # entries exactly at the threshold count as small
-    flat = LucaModule(d=2, r=1,
-                      w_down=np.full((2, 1), 0.25), w_up=np.full((1, 2), 0.25),
-                      v_down=np.full((2, 1), 0.25), v_up=np.full((1, 2), 0.25))
+    flat = module_of(np.full((2, 1), 0.25), np.full((1, 2), 0.25),
+                     np.full((2, 1), 0.25), np.full((1, 2), 0.25))
     assert sparsity_ratio(flat, 0.25) == 1.0
 
 
@@ -215,12 +241,10 @@ def _fd_grads(z, m, upstream, wrt_input=False, h=1e-5):
         base = getattr(m, slot)
         g = np.zeros_like(base)
         for flat in range(base.size):
-            bumped = {s: getattr(m, s).copy() for s in _SLOTS}
-            bumped[slot].flat[flat] += h
-            plus = LucaModule(d=m.d, r=m.r, config=m.config, **bumped)
-            bumped = {s: getattr(m, s).copy() for s in _SLOTS}
-            bumped[slot].flat[flat] -= h
-            minus = LucaModule(d=m.d, r=m.r, config=m.config, **bumped)
+            plus = copy.deepcopy(m)
+            getattr(plus, slot).flat[flat] += h
+            minus = copy.deepcopy(m)
+            getattr(minus, slot).flat[flat] -= h
             g.flat[flat] = (_objective(z, plus, upstream)
                             - _objective(z, minus, upstream)) / (2 * h)
         grads[slot] = g
@@ -249,13 +273,10 @@ def _assert_grads_match(analytic, numeric):
 
 
 def _random_module(gen, d, r, cfg):
-    return LucaModule(
-        d=d, r=r, config=cfg,
-        w_down=gen.normals(d * r, std=0.4).reshape(d, r),
-        w_up=gen.normals(r * d, std=0.4).reshape(r, d),
-        v_down=gen.normals(d * r, std=0.4).reshape(d, r),
-        v_up=gen.normals(r * d, std=0.4).reshape(r, d),
-    )
+    return module_of(gen.normals(d * r, std=0.4).reshape(d, r),
+                     gen.normals(r * d, std=0.4).reshape(r, d),
+                     gen.normals(d * r, std=0.4).reshape(d, r),
+                     gen.normals(r * d, std=0.4).reshape(r, d), cfg)
 
 
 @pytest.mark.parametrize("adapter_act,gate_act,residual,rev", [
@@ -366,9 +387,8 @@ def test_upstream_zero_gives_zero_grads():
 
 def test_dead_relu_bottleneck_blocks_w_up_grad():
     cfg = LucaConfig(adapter_act="relu")
-    m = LucaModule(d=3, r=2, config=cfg,
-                   w_down=np.full((3, 2), -1.0), w_up=np.ones((2, 3)),
-                   v_down=np.zeros((3, 2)), v_up=np.zeros((2, 3)))
+    m = module_of(np.full((3, 2), -1.0), np.ones((2, 3)), np.zeros((3, 2)),
+                  np.zeros((2, 3)), cfg)
     z = np.array([[1.0, 1.0, 1.0]])  # pre-activations all -3: relu dead
     _, cache = luca_forward_batch(z, m, return_cache=True)
     g = _backward(m, cache, np.ones((1, 3)))
@@ -437,8 +457,7 @@ def test_batch_forward_computes_in_its_rows_dtype(monkeypatch):
         assert out64.dtype == np.float64
         np.testing.assert_allclose(out32, out64, rtol=1e-5, atol=1e-6)
         # float64 weights under float32 rows are cast down to them
-        m64 = replace(m, **{k: getattr(m, k).astype(np.float64)
-                            for k in ("w_down", "w_up", "v_down", "v_up")})
+        m64 = replace(m, params=m.params.astype(np.float64))
         assert np.array_equal(luca_forward_batch(Z32, m64), out32)
         # every array the backward flushes is in the upstream's dtype
         flushed = []
